@@ -8,17 +8,14 @@
 //   BENCH_solver.json  per-solver ns/op plus SolverStats aggregates
 //                      (--solver_json=<path>; empty skips it);
 //   BENCH_plan.json    end-to-end planning throughput over the full 2-D
-//                      gallery and an N-D fixture set, in five modes --
+//                      gallery and an N-D fixture set, in three modes --
 //                      cold (fresh allocations per plan), warm (reused
-//                      PlannerWorkspace, steady-state allocation-free),
-//                      batch (the set as one try_plan_fusion_batch call,
-//                      lockstep skeleton lanes), delta (warm-started from
-//                      cached feasible distances, the near-miss re-plan
-//                      ceiling) and cache-hit (content-addressed plan
-//                      cache + certify re-check) -- with allocations/plan
-//                      from the workspace's counting allocator and the
-//                      computed speedups over cold
-//                      (--plan_json=<path>; empty skips it).
+//                      PlannerWorkspace, steady-state allocation-free) and
+//                      cache-hit (content-addressed plan cache + certify
+//                      re-check) -- with allocations/plan from the
+//                      workspace's counting allocator and the computed
+//                      speedups over cold (--plan_json=<path>; empty skips
+//                      it).
 
 #include <benchmark/benchmark.h>
 
@@ -39,7 +36,6 @@
 #include "fusion/compact.hpp"
 #include "fusion/driver.hpp"
 #include "fusion/hyperplane.hpp"
-#include "fusion/ladder.hpp"
 #include "fusion/llofra.hpp"
 #include "fusion/multidim.hpp"
 #include "graph/bellman_ford.hpp"
@@ -376,46 +372,6 @@ bool write_plan_json(const std::string& path) {
         }
     });
 
-    // 2-D batched: the whole input set planned as ONE try_plan_fusion_batch
-    // call (what the service worker prepass does per chunk) -- jobs sharing
-    // a constraint-graph skeleton relax in lockstep lanes over shared
-    // adjacency, everything else runs as a batch of one.
-    PlannerWorkspace ws_batch;
-    TryPlanOptions batch_opts;
-    batch_opts.workspace = &ws_batch;
-    const PlanModeSummary batch = time_plan_mode(kPlanReps, n2d, [&] {
-        std::vector<BatchPlanJob> jobs(graphs.size());
-        for (std::size_t i = 0; i < graphs.size(); ++i) jobs[i].graph = &graphs[i];
-        try_plan_fusion_batch(std::span<BatchPlanJob>(jobs), batch_opts);
-        benchmark::DoNotOptimize(jobs.data());
-    });
-
-    // 2-D delta: every plan warm-started from its own previous feasible
-    // distances -- the ideal case of the plan cache's near-miss hints (a
-    // structural neighbor whose differing edges reset nothing). Measures
-    // the ceiling of delta re-planning throughput.
-    std::vector<LadderArtifacts> seeds(graphs.size());
-    std::vector<LadderWarmHints> hints(graphs.size());
-    {
-        TryPlanOptions seed_opts;
-        seed_opts.workspace = &ws;
-        for (std::size_t i = 0; i < graphs.size(); ++i) {
-            seed_opts.artifacts = &seeds[i];
-            benchmark::DoNotOptimize(try_plan_fusion(graphs[i], seed_opts));
-            hints[i].phase1 = seeds[i].phase1;
-            hints[i].acyclic = seeds[i].acyclic;
-            hints[i].llofra = seeds[i].llofra;
-        }
-    }
-    const PlanModeSummary delta = time_plan_mode(kPlanReps, n2d, [&] {
-        for (std::size_t i = 0; i < graphs.size(); ++i) {
-            TryPlanOptions o;
-            o.workspace = &ws;
-            o.warm_hints = &hints[i];
-            benchmark::DoNotOptimize(try_plan_fusion(graphs[i], o));
-        }
-    });
-
     // N-D planner, cold vs warm (no cache: the service only plans 2-D jobs).
     const PlanModeSummary nd_cold = time_plan_mode(kPlanReps, nnd, [&] {
         for (const MldgN& g : nd_graphs) benchmark::DoNotOptimize(plan_fusion_nd(g));
@@ -445,18 +401,12 @@ bool write_plan_json(const std::string& path) {
     w.key("modes").begin_array();
     write_plan_mode(w, "ladder_2d.cold", cold);
     write_plan_mode(w, "ladder_2d.warm", warm);
-    write_plan_mode(w, "ladder_2d.batch", batch);
-    write_plan_mode(w, "ladder_2d.delta", delta);
     write_plan_mode(w, "cache_hit", hit);
     write_plan_mode(w, "ladder_nd.cold", nd_cold);
     write_plan_mode(w, "ladder_nd.warm", nd_warm);
     w.end_array();
-    w.kv("batch_plans_per_sec", batch.plans_per_sec());
-    w.kv("delta_plans_per_sec", delta.plans_per_sec());
     w.key("speedups").begin_object();
     w.kv("warm_vs_cold", speedup(cold, warm));
-    w.kv("batch_vs_cold", speedup(cold, batch));
-    w.kv("delta_vs_cold", speedup(cold, delta));
     w.kv("cache_hit_vs_cold", speedup(cold, hit));
     w.kv("nd_warm_vs_cold", speedup(nd_cold, nd_warm));
     w.end_object();

@@ -16,8 +16,13 @@
 // to stdout. Exit code 0 on a clean stop.
 
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -45,9 +50,6 @@ void usage() {
         "  --store DIR        persistent plan-tier directory (default: off)\n"
         "  --checkpoint FILE  service checkpoint manifest (default: off)\n"
         "  --cache N          plan-cache capacity (default 128)\n"
-        "  --plan-batch N     jobs per worker pull, batch-planned together (default 8)\n"
-        "  --delta K          delta re-plan against cached graphs differing on <= K\n"
-        "                     edges; 0 disables (default 4)\n"
         "  --plan-policy P    planning objective: fastest (default) or smallest\n"
         "  --deadline-ms D    service-wide per-job deadline (default unlimited)\n"
         "  --max-conns N      connection cap (default 64)\n"
@@ -59,6 +61,41 @@ void usage() {
         "  --read-ms T        mid-frame slow-read timeout (default 2000)\n"
         "  --selftest         start, exercise loopback round trips, stop, exit\n"
         "  --help             this text\n";
+}
+
+/// Rejects a malformed or out-of-range flag value the way an unknown option
+/// is rejected: one line naming the flag, exit 2.
+[[noreturn]] void bad_value(const char* flag, const char* text, const std::string& why) {
+    std::cerr << "error: bad value '" << text << "' for " << flag << ": " << why << "\n";
+    std::exit(2);
+}
+
+/// The whole of `text` as one base-10 integer in [lo, hi].
+long long int_value(const char* flag, const char* text, long long lo = INT_MIN,
+                    long long hi = INT_MAX) {
+    errno = 0;
+    char* end = nullptr;
+    const long long v = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || std::isspace(static_cast<unsigned char>(*text)) != 0) {
+        bad_value(flag, text, "not an integer");
+    }
+    if (errno == ERANGE || v < lo || v > hi) {
+        bad_value(flag, text,
+                  "out of range [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    }
+    return v;
+}
+
+/// The whole of `text` as one finite number.
+double number_value(const char* flag, const char* text) {
+    errno = 0;
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || std::isspace(static_cast<unsigned char>(*text)) != 0 ||
+        errno == ERANGE || !std::isfinite(v)) {
+        bad_value(flag, text, "not a finite number");
+    }
+    return v;
 }
 
 void print_stats(const lf::net::Server& server) {
@@ -183,21 +220,18 @@ int main(int argc, char** argv) {
         } else if (std::strcmp(a, "--host") == 0) {
             config.host = next_arg(i);
         } else if (std::strcmp(a, "--port") == 0) {
-            config.port = static_cast<std::uint16_t>(std::stoi(next_arg(i)));
+            config.port = static_cast<std::uint16_t>(int_value(a, next_arg(i), 0, 65535));
         } else if (std::strcmp(a, "--port-file") == 0) {
             port_file = next_arg(i);
         } else if (std::strcmp(a, "--workers") == 0) {
-            config.service.workers = std::stoi(next_arg(i));
+            config.service.workers = static_cast<int>(int_value(a, next_arg(i)));
         } else if (std::strcmp(a, "--store") == 0) {
             config.service.plan_store_dir = next_arg(i);
         } else if (std::strcmp(a, "--checkpoint") == 0) {
             config.service.checkpoint_path = next_arg(i);
         } else if (std::strcmp(a, "--cache") == 0) {
-            config.service.plan_cache_capacity = static_cast<std::size_t>(std::stoul(next_arg(i)));
-        } else if (std::strcmp(a, "--plan-batch") == 0) {
-            config.service.plan_batch = std::stoi(next_arg(i));
-        } else if (std::strcmp(a, "--delta") == 0) {
-            config.service.delta_max_edges = std::stoi(next_arg(i));
+            config.service.plan_cache_capacity =
+                static_cast<std::size_t>(int_value(a, next_arg(i), 0, LLONG_MAX));
         } else if (std::strcmp(a, "--plan-policy") == 0) {
             const std::string name = next_arg(i);
             const std::optional<lf::PlanPolicy> parsed = lf::parse_plan_policy(name);
@@ -207,21 +241,21 @@ int main(int argc, char** argv) {
             }
             config.service.plan_policy = *parsed;
         } else if (std::strcmp(a, "--deadline-ms") == 0) {
-            config.service.retry.deadline_ms = std::stoll(next_arg(i));
+            config.service.retry.deadline_ms = int_value(a, next_arg(i), LLONG_MIN, LLONG_MAX);
         } else if (std::strcmp(a, "--max-conns") == 0) {
-            config.max_connections = std::stoi(next_arg(i));
+            config.max_connections = static_cast<int>(int_value(a, next_arg(i)));
         } else if (std::strcmp(a, "--max-inflight") == 0) {
-            config.max_inflight = std::stoi(next_arg(i));
+            config.max_inflight = static_cast<int>(int_value(a, next_arg(i)));
         } else if (std::strcmp(a, "--batch-max") == 0) {
-            config.batch_max = std::stoi(next_arg(i));
+            config.batch_max = static_cast<int>(int_value(a, next_arg(i)));
         } else if (std::strcmp(a, "--quota-rate") == 0) {
-            config.quota.refill_per_sec = std::stod(next_arg(i));
+            config.quota.refill_per_sec = number_value(a, next_arg(i));
         } else if (std::strcmp(a, "--quota-burst") == 0) {
-            config.quota.burst = std::stoi(next_arg(i));
+            config.quota.burst = static_cast<int>(int_value(a, next_arg(i)));
         } else if (std::strcmp(a, "--idle-ms") == 0) {
-            config.idle_timeout_ms = std::stoi(next_arg(i));
+            config.idle_timeout_ms = static_cast<int>(int_value(a, next_arg(i)));
         } else if (std::strcmp(a, "--read-ms") == 0) {
-            config.read_timeout_ms = std::stoi(next_arg(i));
+            config.read_timeout_ms = static_cast<int>(int_value(a, next_arg(i)));
         } else if (std::strcmp(a, "--selftest") == 0) {
             run_selftest = true;
         } else {

@@ -47,9 +47,6 @@ void usage() {
         "  --probe P          probe every P-th open-breaker admission (default 4)\n"
         "  --checkpoint FILE  checkpoint manifest (resume: rerun with the same file)\n"
         "  --cache N          plan-cache capacity in plans; 0 disables (default 128)\n"
-        "  --batch N          jobs per worker pull, batch-planned together (default 8)\n"
-        "  --delta K          delta re-plan against cached graphs differing on <= K\n"
-        "                     edges; 0 disables (default 4)\n"
         "  --plan-policy P    planning objective: fastest (default; classic plans,\n"
         "                     bit-identical) or smallest (smallest-magnitude retiming)\n"
         "  --report FILE      write the JSON run report here (default: stdout)\n"
@@ -135,8 +132,6 @@ int main(int argc, char** argv) {
             else if (arg == "--probe") config.breaker.probe_interval = std::stoi(next_arg(i));
             else if (arg == "--checkpoint") config.checkpoint_path = next_arg(i);
             else if (arg == "--cache") config.plan_cache_capacity = std::stoull(next_arg(i));
-            else if (arg == "--batch") config.plan_batch = std::stoi(next_arg(i));
-            else if (arg == "--delta") config.delta_max_edges = std::stoi(next_arg(i));
             else if (arg == "--plan-policy") {
                 const std::string name = next_arg(i);
                 const std::optional<lf::PlanPolicy> parsed = lf::parse_plan_policy(name);

@@ -146,13 +146,11 @@ struct TryPlanOptions {
     /// the constraint systems nest (see DESIGN.md, "Planning performance").
     /// Never changes any planning result. Not owned; may be null.
     PlannerWorkspace* workspace = nullptr;
-    /// Starting potentials for delta re-planning, derived from a structural
-    /// near-neighbor's cached fixpoints (fusion/ladder.hpp). Warm-start
-    /// legality guarantees the plan is unchanged; only relaxation work
-    /// shrinks. Not owned; may be null.
+    /// Ignored; kept only because the benchmark driver (perfbench/) still
+    /// sets it. Goes with that call.
     const LadderWarmHints* warm_hints = nullptr;
-    /// Optional output: the feasible fixpoints the ladder computed (for the
-    /// plan cache's distance-vector sidecar). Not owned; may be null.
+    /// Ignored; kept only because the benchmark driver (perfbench/) still
+    /// sets it. Goes with that call.
     LadderArtifacts* artifacts = nullptr;
 };
 

@@ -1,5 +1,6 @@
 #pragma once
-// The planning ladder over a shared constraint-system core.
+// The planning ladder over a shared constraint-system core: the
+// implementation of try_plan_fusion (fusion/driver.hpp).
 //
 // Every algorithm the degradation ladder runs (Alg. 3/4 -> forced-carry ->
 // Alg. 5) solves a difference-constraint system over the SAME graph: one
@@ -13,107 +14,26 @@
 //   rung 3 (forced carry)      x(to) - x(from) <= delta.x - 1        [int64]
 //   rung 4 (Alg. 5, LLOFRA)    r(to) - r(from) <= delta              [Vec2]
 //
-// The ladder here therefore builds the edge-endpoint arrays ONCE per job and
-// expresses each rung as a bound rewrite over them: no per-rung
+// The ladder therefore writes each job's edge endpoints ONCE (one int64 and
+// one Vec2 edge list, held in the PlannerWorkspace) and each rung rewrites
+// only the bounds before its bellman_ford_all_sources solve: no per-rung
 // DifferenceConstraintSystem reconstruction, no repeated schedulability
 // checks (validation's verdict is cached and implies every rung's internal
 // check -- counted in SolverStats::rungs_shared), and the one retiming
-// application Algorithm 5 performs is reused by plan finalization. Rungs
-// warm-start from the previous rung's feasible distances where the systems
-// nest (phase 1 -> forced carry, as before), and infeasible systems exit
-// after a few passes via the batched kernel's predecessor-graph cycle probe
-// instead of running all |V| relaxation passes.
-//
-// Batching: try_plan_fusion_batch groups jobs by constraint-graph skeleton
-// (node count + edge endpoints) and runs each group's rungs in lockstep
-// through bellman_ford_all_sources_batch -- one shared endpoint structure,
-// structure-of-arrays distances, per-lane bounds. Per-job results are
-// bit-identical to planning each job alone: try_plan_fusion itself is a
-// batch of one, so the sequential and batched paths are the same code.
-//
-// Delta re-planning: a LadderWarmHints carries starting potentials derived
-// from a structural near-neighbor's cached fixpoints (svc/plancache.hpp
-// resets every vertex the differing edges can reach, keeping the rest).
-// Warm-start legality (graph/bellman_ford.hpp) guarantees the fixpoints --
-// and therefore the plans -- are unchanged; only the relaxation work
-// shrinks. Adopted hints are counted in SolverStats::delta_solves.
-
-#include <cstdint>
-#include <optional>
-#include <span>
-#include <string>
-#include <vector>
-
-#include "fusion/driver.hpp"
-#include "fusion/multidim.hpp"
-#include "ldg/mldg.hpp"
-#include "ldg/mldg_nd.hpp"
-#include "support/status.hpp"
+// application Algorithm 5 performs is reused by plan finalization. Phase 2
+// lists only the equality pairs its phase-1 solution enables. Forced carry
+// warm-starts from phase 1's feasible distances (its system only tightens
+// phase 1's), and every rung solves with the kernel's early cycle exit, so
+// infeasible systems stop after a few passes instead of all |V|.
 
 namespace lf {
 
-/// Feasible fixpoints the ladder computed for one job, keyed by constraint
-/// system. Cached alongside the plan (svc/plancache.hpp `.dist` sidecar) so
-/// structural near-misses can delta-solve instead of cold-starting. Empty
-/// vectors mean the corresponding system was never solved to feasibility.
-struct LadderArtifacts {
-    /// Algorithm 4 phase-1 fixpoint (bounds delta.x - hard).
-    std::vector<std::int64_t> phase1;
-    /// Rung-1 fixpoint (acyclic graphs; bounds delta - (1,-1)).
-    std::vector<Vec2> acyclic;
-    /// LLOFRA fixpoint (bounds delta).
-    std::vector<Vec2> llofra;
+// Inert since cross-job planning was removed; kept only because the
+// benchmark driver (perfbench/driver.cpp) still names it. Goes with that call.
+struct LadderWarmHints {};
 
-    [[nodiscard]] bool empty() const {
-        return phase1.empty() && acyclic.empty() && llofra.empty();
-    }
-};
-
-/// Starting potentials for a delta re-plan, one per system the ladder may
-/// solve. Every vector must already satisfy the warm-start contract for the
-/// TARGET job's system (entries <= 0; >= the target fixpoint pointwise --
-/// the plan cache guarantees this by resetting every vertex reachable from
-/// a differing edge). Invalid hints are detected by the solver's runtime
-/// validation and simply fall back to a cold solve; results never change.
-struct LadderWarmHints {
-    std::vector<std::int64_t> phase1;  // warms Alg. 4 phase 1 AND forced carry
-    std::vector<Vec2> acyclic;         // warms rung 1
-    std::vector<Vec2> llofra;          // warms LLOFRA
-
-    [[nodiscard]] bool empty() const {
-        return phase1.empty() && acyclic.empty() && llofra.empty();
-    }
-};
-
-/// One job of a batched 2-D planning call. `graph` must outlive the call;
-/// `hints` is optional (delta re-planning). `result`/`artifacts` are
-/// outputs; `result` is engaged for every job after the call returns.
-struct BatchPlanJob {
-    const Mldg* graph = nullptr;
-    const LadderWarmHints* hints = nullptr;
-    std::optional<Result<FusionPlan>> result;
-    LadderArtifacts artifacts;
-};
-
-/// One job of a batched N-D planning call. The N-D path has a single
-/// algorithm (no ladder) and is already microseconds per plan, so jobs run
-/// sequentially through plan_fusion_nd; this entry point exists so callers
-/// can treat 2-D and N-D admission batches uniformly. On failure `plan` is
-/// empty and `error` carries the exception message.
-struct BatchPlanJobNd {
-    const MldgN* graph = nullptr;
-    PlannerWorkspace* workspace = nullptr;
-    std::optional<NdFusionPlan> plan;
-    std::string error;
-};
-
-/// Plans every job in the batch (see driver.hpp try_plan_fusion for the
-/// per-job semantics -- rung order, stage traces and result statuses are
-/// identical to the sequential path). Jobs sharing a constraint-graph
-/// skeleton solve in lockstep over shared adjacency.
-void try_plan_fusion_batch(std::span<BatchPlanJob> jobs,
-                           const TryPlanOptions& options = {});
-
-void try_plan_fusion_batch_nd(std::span<BatchPlanJobNd> jobs);
+// Inert since cross-job planning was removed; kept only because the
+// benchmark driver (perfbench/driver.cpp) still names it. Goes with that call.
+struct LadderArtifacts {};
 
 }  // namespace lf

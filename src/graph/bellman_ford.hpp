@@ -47,10 +47,21 @@
 // the cheap upper bound (d0 <= 0) at runtime and falls back to a cold solve
 // when it fails. Negative-cycle detection is unaffected: with any finite
 // start, relaxation quiesces within |V| passes iff no negative cycle exists.
+//
+// Early cycle exit (all-sources, opt-in): after every pass that relaxed
+// something, an O(|V|) probe looks for a cycle among the predecessor
+// pointers. Every predecessor edge strictly lowered its head's distance, so
+// such a cycle telescopes to a negative weight: the system is infeasible
+// and the solve stops there instead of running all |V| passes. Verdicts and
+// fixpoints are unchanged (the classical n-th-pass rule stays the
+// backstop); only the work of infeasible solves shrinks, and the witness is
+// the predecessor cycle the probe found. The planning ladder turns it on;
+// legality checks leave it off, so their witness cycles are the classical
+// ones.
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "graph/solver_workspace.hpp"
@@ -62,14 +73,8 @@
 
 namespace lf {
 
-/// A weighted edge for the solver; decoupled from Digraph so constraint
-/// systems can feed edge lists directly.
-template <typename W>
-struct WeightedEdge {
-    int from = -1;
-    int to = -1;
-    W weight{};
-};
+// WeightedEdge (the solver's edge type) lives in graph/solver_workspace.hpp,
+// so planner workspaces can own edge lists.
 
 template <typename W>
 struct ShortestPaths {
@@ -121,6 +126,28 @@ std::vector<int> extract_cycle(const std::vector<WeightedEdge<W>>& edges,
         if (edges[static_cast<std::size_t>(cycle[k])].from == cur) break;
     }
     return {trimmed.rbegin(), trimmed.rend()};
+}
+
+/// The early-cycle-exit probe: returns a vertex on a cycle of the
+/// predecessor graph, or -1 when it is a forest. Each vertex is stamped by
+/// the first walk that reaches it; a walk that meets its own stamp has
+/// closed a cycle. O(n); `stamp` is n ints of caller scratch.
+template <typename W>
+int pred_cycle_vertex(const std::vector<WeightedEdge<W>>& edges, const int* pred_edge, int n,
+                      int* stamp) {
+    std::fill(stamp, stamp + n, -1);
+    for (int s = 0; s < n; ++s) {
+        int v = s;
+        while (true) {
+            if (stamp[v] == s) return v;
+            if (stamp[v] >= 0) break;  // joined an earlier, acyclic walk
+            stamp[v] = s;
+            const int pe = pred_edge[v];
+            if (pe < 0) break;
+            v = edges[static_cast<std::size_t>(pe)].from;
+        }
+    }
+    return -1;
 }
 
 /// Accumulates solver counters in locals and flushes them into the caller's
@@ -179,6 +206,8 @@ class StatsScope {
 /// all-sources fixpoint of a subsystem, adopted as the starting potential
 /// when valid (every entry <= zero; see the warm-start note above). The
 /// returned distances are identical either way; only the work differs.
+/// `early_cycle_exit`: run the predecessor-cycle probe after every pass
+/// (see the note above); infeasible systems stop early.
 template <typename W>
 ShortestPaths<W> bellman_ford_all_sources(int num_nodes,
                                           const std::vector<WeightedEdge<W>>& edges,
@@ -186,7 +215,8 @@ ShortestPaths<W> bellman_ford_all_sources(int num_nodes,
                                           SolverStats* stats = nullptr,
                                           const WeightTraits<W>& traits = {},
                                           SolverWorkspace<W>* ws = nullptr,
-                                          const std::vector<W>* warm_start = nullptr) {
+                                          const std::vector<W>* warm_start = nullptr,
+                                          bool early_cycle_exit = false) {
     detail::StatsScope scope(stats);
     SolverWorkspace<W> local;  // used only when the caller owns no arena
     SolverWorkspace<W>& arena = ws != nullptr ? *ws : local;
@@ -258,6 +288,16 @@ ShortestPaths<W> bellman_ford_all_sources(int num_nodes,
             }
         }
         if (!changed) return finish();
+        if (early_cycle_exit) {
+            arena.cycle_stamp.resize(n);
+            const int v =
+                detail::pred_cycle_vertex(edges, pred.data(), num_nodes, arena.cycle_stamp.data());
+            if (v >= 0) {
+                r.has_negative_cycle = true;
+                r.negative_cycle = detail::extract_cycle(edges, pred.data(), num_nodes, v);
+                return finish();
+            }
+        }
     }
     // An n-th pass that still relaxes implies a negative cycle.
     for (std::size_t ei = 0; ei < edges.size(); ++ei) {
@@ -276,286 +316,6 @@ ShortestPaths<W> bellman_ford_all_sources(int num_nodes,
         }
     }
     return finish();
-}
-
-namespace detail {
-
-/// O(n) negative-cycle probe for the early-exit path of the batched kernel:
-/// a cycle among the predecessor pointers implies a negative cycle in the
-/// constraint graph (every pred edge strictly lowered its head's distance,
-/// so summing a pred cycle's relaxations telescopes to a negative weight).
-/// The converse is supplied by the classical n-th-pass rule, which the
-/// kernel keeps as its backstop -- this probe only lets infeasible systems
-/// surface after a handful of passes instead of all |V| of them.
-/// `mark`/`walk` are caller-owned scratch (resized here).
-template <typename W>
-bool pred_graph_has_cycle(const WeightedEdge<W>* /*tag*/, const int* pred_edge,
-                          const int* edge_from, int n, std::vector<signed char>& mark,
-                          std::vector<int>& walk) {
-    mark.assign(static_cast<std::size_t>(n), 0);  // 0 unvisited, 1 in walk, 2 done
-    for (int s = 0; s < n; ++s) {
-        if (mark[static_cast<std::size_t>(s)] != 0) continue;
-        walk.clear();
-        int v = s;
-        while (true) {
-            const signed char m = mark[static_cast<std::size_t>(v)];
-            if (m == 1) return true;  // closed a walk on itself: pred cycle
-            if (m == 2) break;        // merged into an already-cleared walk
-            mark[static_cast<std::size_t>(v)] = 1;
-            walk.push_back(v);
-            const int pe = pred_edge[static_cast<std::size_t>(v)];
-            if (pe < 0) break;
-            v = edge_from[static_cast<std::size_t>(pe)];
-        }
-        for (int u : walk) mark[static_cast<std::size_t>(u)] = 2;
-    }
-    return false;
-}
-
-}  // namespace detail
-
-/// One job's view of a batched all-sources solve: per-edge bounds (and an
-/// optional participation mask) over the batch's *shared* endpoint arrays,
-/// plus the same optional warm start / guard / stats the sequential entry
-/// point takes. Outputs mirror ShortestPaths minus the witness extraction
-/// (the ladder rungs never consume conflict cycles; legality checking, which
-/// does, stays on bellman_ford_all_sources).
-template <typename W>
-struct BatchLane {
-    // ---- Inputs ----
-    /// bounds[e]: this lane's weight for shared edge e. Required.
-    const W* bounds = nullptr;
-    /// enabled[e] == 0 excludes shared edge e from this lane's system
-    /// entirely (no scan, no guard step -- exactly as if the lane's edge
-    /// list had been filtered). Null = all edges participate.
-    const unsigned char* enabled = nullptr;
-    /// Previous fixpoint of a subsystem, adopted when valid (<= 0 pointwise;
-    /// same contract as the sequential warm start).
-    const std::vector<W>* warm_start = nullptr;
-    ResourceGuard* guard = nullptr;
-    SolverStats* stats = nullptr;
-    /// Marks a warm start that came from a cached neighbor's distances (plan
-    /// cache delta-solve) rather than this job's own earlier rung; counted
-    /// into SolverStats::delta_solves when the warm start is adopted.
-    bool warm_is_delta = false;
-
-    // ---- Outputs ----
-    std::vector<W> dist;
-    bool has_negative_cycle = false;
-    StatusCode status = StatusCode::Ok;
-};
-
-/// Batched all-sources Bellman-Ford: K independent difference-constraint
-/// systems over ONE shared edge-endpoint structure, solved in lockstep.
-/// Distances live in a structure-of-arrays layout (dist[v * K + k], lane
-/// innermost), so the relaxation inner loop runs down contiguous lanes --
-/// the layout the ISSUE's SIMD framing asks for.
-///
-/// Per-lane semantics are bit-identical to running the sequential kernel on
-/// that lane's filtered edge list: lanes advance pass-by-pass together, a
-/// lane stops scanning the moment it quiesces (fixpoint), aborts alone on
-/// its own guard/overflow, and counts exactly the scans it would have done
-/// alone. Results therefore never depend on what else is in the batch.
-///
-/// `early_cycle_exit` additionally probes the predecessor graph after every
-/// pass (detail::pred_graph_has_cycle) so infeasible lanes finish in a few
-/// passes instead of |V|; verdicts and fixpoints are unchanged, only the
-/// work shrinks. No conflict witness is produced either way.
-///
-/// `ws` (optional): scratch arena; buffers are sized n * K and reused, so a
-/// steady-state batch solve performs no counted allocations.
-template <typename W>
-void bellman_ford_all_sources_batch(int num_nodes, std::span<const int> edge_from,
-                                    std::span<const int> edge_to,
-                                    std::span<BatchLane<W>> lanes,
-                                    const WeightTraits<W>& traits = {},
-                                    SolverWorkspace<W>* ws = nullptr,
-                                    bool early_cycle_exit = false) {
-    const auto n = static_cast<std::size_t>(num_nodes);
-    const std::size_t ne = edge_from.size();
-    const std::size_t K = lanes.size();
-    check(edge_to.size() == ne, "bellman_ford_batch: endpoint arrays disagree");
-    for (std::size_t ei = 0; ei < ne; ++ei) {
-        check(edge_from[ei] >= 0 && edge_from[ei] < num_nodes && edge_to[ei] >= 0 &&
-                  edge_to[ei] < num_nodes,
-              "bellman_ford_batch: edge endpoint out of range");
-    }
-    if (K == 0) return;
-
-    SolverWorkspace<W> local;
-    SolverWorkspace<W>& arena = ws != nullptr ? *ws : local;
-    auto& dist = arena.dist;       // SoA: dist[v * K + k]
-    auto& pred = arena.pred_edge;  // SoA: pred[v * K + k]
-    dist.assign(n * K, traits.zero());
-    pred.assign(n * K, -1);
-
-    // Per-lane bookkeeping (plain locals: tiny, lane-count-sized).
-    struct LaneCounters {
-        std::uint64_t edge_scans = 0;
-        std::uint64_t relaxations = 0;
-        std::uint64_t iterations = 0;
-        std::uint64_t guard_steps = 0;
-        std::uint64_t overflow_near_misses = 0;
-        bool warm = false;
-        bool delta = false;
-    };
-    std::vector<LaneCounters> counters(K);
-    std::vector<unsigned char> active(K, 1);
-    std::vector<unsigned char> changed(K, 0);
-    std::size_t alive = K;
-
-    const bool any_stats = [&] {
-        for (const auto& l : lanes) {
-            if (l.stats != nullptr) return true;
-        }
-        return false;
-    }();
-    const auto t0 = any_stats ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{};
-
-    auto finish_lane = [&](std::size_t k) {
-        BatchLane<W>& lane = lanes[k];
-        lane.dist.resize(n);
-        for (std::size_t v = 0; v < n; ++v) lane.dist[v] = dist[v * K + k];
-        active[k] = 0;
-        --alive;
-        if (lane.stats != nullptr) {
-            SolverStats& st = *lane.stats;
-            const LaneCounters& c = counters[k];
-            st.solves += 1;
-            st.edge_scans += c.edge_scans;
-            st.relaxations += c.relaxations;
-            st.iterations += c.iterations;
-            st.guard_steps += c.guard_steps;
-            st.overflow_near_misses += c.overflow_near_misses;
-            st.warm_starts += c.warm ? 1 : 0;
-            st.cold_solves += c.warm ? 0 : 1;
-            st.batch_solves += K >= 2 ? 1 : 0;
-            st.delta_solves += c.delta ? 1 : 0;
-            // Apportion the shared batch wall time across lanes: summing
-            // per-job stats must recover the kernel's actual wall time, not
-            // K times it.
-            st.wall_ns += static_cast<std::uint64_t>(
-                              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                  std::chrono::steady_clock::now() - t0)
-                                  .count()) /
-                          K;
-        }
-    };
-
-    // Seed each lane: fault point, then warm-or-cold initial potential.
-    for (std::size_t k = 0; k < K; ++k) {
-        BatchLane<W>& lane = lanes[k];
-        check(lane.bounds != nullptr || ne == 0, "bellman_ford_batch: lane without bounds");
-        if (faultpoint::triggered("solver.bellman_ford")) {
-            lane.status = StatusCode::Internal;
-            finish_lane(k);
-            continue;
-        }
-        bool warm = lane.warm_start != nullptr && lane.warm_start->size() == n;
-        if (warm) {
-            const W zero = traits.zero();
-            for (const W& v : *lane.warm_start) {
-                if (zero < v) {
-                    warm = false;
-                    break;
-                }
-            }
-        }
-        if (warm) {
-            for (std::size_t v = 0; v < n; ++v) dist[v * K + k] = (*lane.warm_start)[v];
-            counters[k].warm = true;
-            counters[k].delta = lane.warm_is_delta;
-        }
-    }
-
-    std::vector<signed char> cycle_mark;
-    std::vector<int> cycle_walk;
-    std::vector<int> lane_pred;  // pred slice scratch for the cycle probe
-    if (early_cycle_exit) lane_pred.resize(n);
-
-    for (int pass = 0; pass < num_nodes && alive > 0; ++pass) {
-        for (std::size_t k = 0; k < K; ++k) {
-            if (active[k] != 0) {
-                ++counters[k].iterations;
-                changed[k] = 0;
-            }
-        }
-        for (std::size_t ei = 0; ei < ne; ++ei) {
-            const auto f = static_cast<std::size_t>(edge_from[ei]);
-            const auto t = static_cast<std::size_t>(edge_to[ei]);
-            for (std::size_t k = 0; k < K; ++k) {
-                if (active[k] == 0) continue;
-                BatchLane<W>& lane = lanes[k];
-                if (lane.enabled != nullptr && lane.enabled[ei] == 0) continue;
-                ++counters[k].edge_scans;
-                if (lane.guard != nullptr) {
-                    ++counters[k].guard_steps;
-                    if (!lane.guard->consume()) {
-                        lane.status = StatusCode::ResourceExhausted;
-                        finish_lane(k);
-                        continue;
-                    }
-                }
-                W cand;
-                if (!traits.checked_add(dist[f * K + k], lane.bounds[ei], cand)) {
-                    lane.status = StatusCode::Overflow;
-                    finish_lane(k);
-                    continue;
-                }
-                if (cand < dist[t * K + k]) {
-                    ++counters[k].relaxations;
-                    if (lane.stats != nullptr && traits.near_overflow(cand)) {
-                        ++counters[k].overflow_near_misses;
-                    }
-                    dist[t * K + k] = cand;
-                    pred[t * K + k] = static_cast<int>(ei);
-                    changed[k] = 1;
-                }
-            }
-        }
-        for (std::size_t k = 0; k < K; ++k) {
-            if (active[k] == 0) continue;
-            if (changed[k] == 0) {
-                finish_lane(k);  // quiesced: this lane's fixpoint is final
-                continue;
-            }
-            if (early_cycle_exit) {
-                for (std::size_t v = 0; v < n; ++v) lane_pred[v] = pred[v * K + k];
-                if (detail::pred_graph_has_cycle<W>(nullptr, lane_pred.data(),
-                                                    edge_from.data(), num_nodes, cycle_mark,
-                                                    cycle_walk)) {
-                    lanes[k].has_negative_cycle = true;
-                    finish_lane(k);
-                }
-            }
-        }
-    }
-    // Lanes still relaxing after |V| passes sit on a negative cycle iff the
-    // detection pass still finds a relaxable edge (classical rule).
-    for (std::size_t ei = 0; ei < ne && alive > 0; ++ei) {
-        const auto f = static_cast<std::size_t>(edge_from[ei]);
-        const auto t = static_cast<std::size_t>(edge_to[ei]);
-        for (std::size_t k = 0; k < K; ++k) {
-            if (active[k] == 0) continue;
-            BatchLane<W>& lane = lanes[k];
-            if (lane.enabled != nullptr && lane.enabled[ei] == 0) continue;
-            ++counters[k].edge_scans;
-            W cand;
-            if (!traits.checked_add(dist[f * K + k], lane.bounds[ei], cand)) {
-                lane.status = StatusCode::Overflow;
-                finish_lane(k);
-                continue;
-            }
-            if (cand < dist[t * K + k]) {
-                lane.has_negative_cycle = true;
-                finish_lane(k);
-            }
-        }
-    }
-    for (std::size_t k = 0; k < K; ++k) {
-        if (active[k] != 0) finish_lane(k);  // completed: feasible fixpoint
-    }
 }
 
 /// Classical single-source Bellman-Ford (distances from `source`; unreachable

@@ -26,6 +26,15 @@
 
 namespace lf {
 
+/// A weighted edge for the solver; decoupled from Digraph so constraint
+/// systems can feed edge lists directly.
+template <typename W>
+struct WeightedEdge {
+    int from = -1;
+    int to = -1;
+    W weight{};
+};
+
 /// Allocation telemetry for one workspace: every heap request the workspace's
 /// buffers make is counted here. Steady-state solves perform zero.
 struct AllocCounter {
@@ -116,6 +125,7 @@ class SolverWorkspace {
           queue(CountingAllocator<int>(&counter_)),
           queued(CountingAllocator<unsigned char>(&counter_)),
           relax_count(CountingAllocator<int>(&counter_)),
+          cycle_stamp(CountingAllocator<int>(&counter_)),
           csr_offsets(CountingAllocator<int>(&counter_)),
           csr_edge_ids(CountingAllocator<int>(&counter_)) {}
 
@@ -136,6 +146,7 @@ class SolverWorkspace {
     Buffer<int> queue;             // SPFA FIFO ring (capacity num_nodes + 1)
     Buffer<unsigned char> queued;  // SPFA in-queue flags
     Buffer<int> relax_count;       // SPFA per-vertex relaxation counters
+    Buffer<int> cycle_stamp;       // Bellman-Ford early-cycle-exit probe
     Buffer<int> csr_offsets;       // fallback CSR when the caller caches none
     Buffer<int> csr_edge_ids;
 };
@@ -151,6 +162,12 @@ struct PlannerWorkspace {
     /// Scratch for rung-to-rung warm-start vectors (e.g. the x components a
     /// compact post-pass seeds its base solve with).
     std::vector<std::int64_t> warm_x;
+    /// The planning ladder's constraint edges (fusion/ladder.cpp): one per
+    /// dependence edge, endpoints written once per job and bounds rewritten
+    /// by every rung, plus Algorithm 4 phase 2's equality pairs.
+    std::vector<WeightedEdge<std::int64_t>> scalar_edges;
+    std::vector<WeightedEdge<Vec2>> vec2_edges;
+    std::vector<WeightedEdge<std::int64_t>> pair_edges;
 
     [[nodiscard]] std::uint64_t total_allocations() const {
         return scalar.counter().allocations + vec2.counter().allocations +

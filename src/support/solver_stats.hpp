@@ -45,13 +45,6 @@ struct SolverStats {
     /// arrays, cached schedulability verdict, previous-rung fixpoints)
     /// instead of rebuilding their system from the MLDG (fusion/ladder.hpp).
     std::uint64_t rungs_shared = 0;
-    /// Solves executed by the batched all-sources kernel together with at
-    /// least one other job over shared adjacency (one count per lane).
-    std::uint64_t batch_solves = 0;
-    /// Solves warm-started from a cached *neighbor's* feasible distances
-    /// (plan-cache structural near-miss; see svc/plancache.hpp) rather than
-    /// from this job's own previous rung.
-    std::uint64_t delta_solves = 0;
     /// Wall time spent inside solver entry points, in nanoseconds. Only
     /// meaningful on the machine that produced it; report emission omits it
     /// under the determinism contract (include_timings=false).
@@ -69,8 +62,6 @@ struct SolverStats {
         warm_starts += o.warm_starts;
         cold_solves += o.cold_solves;
         rungs_shared += o.rungs_shared;
-        batch_solves += o.batch_solves;
-        delta_solves += o.delta_solves;
         wall_ns += o.wall_ns;
     }
 

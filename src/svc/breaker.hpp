@@ -78,12 +78,6 @@ class CircuitBreakerBank {
     /// means the attempt ended with an admitted (gate-passed) plan.
     void record(const std::string& klass, AdmitMode mode, bool verified);
 
-    /// Non-mutating preview: whether the class's breaker is currently closed
-    /// (a subsequent admit() would run the full ladder). Advances no probe
-    /// counters and records nothing -- the service's batch prepass uses it
-    /// to decide which jobs are worth planning ahead of their admit().
-    [[nodiscard]] bool closed(const std::string& klass) const;
-
     /// Per-class states, sorted by class name (deterministic for reports).
     [[nodiscard]] std::vector<BreakerSnapshot> snapshot() const;
 

@@ -104,17 +104,6 @@ struct ServiceConfig {
     int exec_tile = 0;
     /// Rounds narrower than this run whole on lane 0 (parallel run only).
     std::int64_t exec_serial_cutoff = 0;
-    /// Jobs a worker pulls from the queue at once. Chunks of eligible 2-D
-    /// jobs (first attempt, no deadline, closed breaker, not cached, no
-    /// fault armed) are pre-planned through try_plan_fusion_batch, so jobs
-    /// sharing a constraint skeleton solve in lockstep; per-job results are
-    /// bit-identical to sequential planning. 1 disables batching.
-    int plan_batch = 8;
-    /// Incremental re-planning: a cache miss whose graph differs from a
-    /// cached entry on at most this many edges' dependence-vector sets
-    /// warm-starts the ladder from that entry's stored distances
-    /// (PlanCache::near_miss_hints). 0 disables delta re-planning.
-    int delta_max_edges = 4;
     /// Planning objective (fusion/driver.hpp) applied to every job: the
     /// default reproduces the pre-policy service bit-for-bit (plans, cache
     /// keys, reports); SmallestCode additionally runs the magnitude
@@ -189,26 +178,7 @@ class FusionService {
     [[nodiscard]] exec::CompileStats exec_stats() const { return native_compiler_.stats(); }
 
   private:
-    /// A first-attempt plan computed ahead of process_job by the chunk
-    /// prepass. `result` engaged = consumable; process_job takes it instead
-    /// of calling try_plan_fusion, under exactly the options the prepass
-    /// used (verified by the eligibility rules in prepass_chunk).
-    struct PrePlanned {
-        std::optional<Result<FusionPlan>> result;
-        LadderArtifacts artifacts;
-    };
-
-    /// Batch-plans the eligible jobs of [begin, end) into `pre` (indexed
-    /// begin-relative) via try_plan_fusion_batch, attaching near-miss
-    /// delta-solve hints from the plan cache. Ineligible jobs (N-D,
-    /// checkpointed, deadline set, open breaker, already cached, any fault
-    /// point armed) are left for the sequential path; so is everything if
-    /// fewer than two jobs are eligible or the batch planner throws.
-    void prepass_chunk(const std::vector<JobSpec>& jobs, const std::vector<JobRecord>& recs,
-                       std::size_t begin, std::size_t end, std::vector<PrePlanned>& pre,
-                       PlannerWorkspace& ws);
-    void process_job(const JobSpec& job, JobRecord& rec, PlannerWorkspace& ws,
-                     PrePlanned* pre = nullptr);
+    void process_job(const JobSpec& job, JobRecord& rec, PlannerWorkspace& ws);
     /// Depth-d jobs (JobSpec::depth > 2): plan_fusion_nd + the N-D gate,
     /// under the same retry / breaker / cache / checkpoint machinery.
     void process_job_nd(const JobSpec& job, JobRecord& rec, PlannerWorkspace& ws);
@@ -221,8 +191,8 @@ class FusionService {
     bool native_admit_nd(const JobSpec& job, const NdFusionPlan& plan, JobRecord& rec,
                          AttemptRecord& att);
     /// The PlanOptions every planning path and cache-key computation derives
-    /// from the config. One construction site keeps the prepass, the
-    /// sequential path, and both key_of calls agreeing on the policy.
+    /// from the config. One construction site keeps the planning path and
+    /// both key_of calls agreeing on the policy.
     [[nodiscard]] PlanOptions plan_options() const {
         PlanOptions o;
         o.policy = config_.plan_policy;

@@ -4,7 +4,9 @@
 // gallery) and N-D (fixed fixtures). The golden files under tests/golden/
 // were generated from the seed tree *before* the 2-D and N-D solver stacks
 // were unified; any divergence means the unified core changed observable
-// planner behavior.
+// planner behavior. ladder_work.golden additionally pins each rung's budget
+// and solver counters; it was recorded from the lockstep-batch ladder that
+// the straight-line ladder replaced.
 //
 // Regenerate (only when behavior is *intentionally* changed) with:
 //   LF_UPDATE_GOLDEN=1 ./test_golden_differential
@@ -23,14 +25,17 @@
 
 #include "analysis/dependence.hpp"
 #include "fusion/driver.hpp"
+#include "graph/solver_workspace.hpp"
 #include "graph/spfa.hpp"
 #include "support/diagnostics.hpp"
 #include "fusion/multidim.hpp"
 #include "ir/parser.hpp"
 #include "ldg/serialization.hpp"
 #include "support/faultpoint.hpp"
+#include "support/rng.hpp"
 #include "workloads/extra.hpp"
 #include "workloads/gallery.hpp"
+#include "workloads/generators.hpp"
 
 namespace lf {
 namespace {
@@ -120,6 +125,98 @@ TEST(GoldenDifferential, ExtraGalleryPlans) {
 TEST(GoldenDifferential, Fig14AsPrintedTrace) {
     check_golden("fig14_as_printed.golden",
                  digest_plan_2d("fig14_as_printed", workloads::fig14_graph_as_printed()));
+}
+
+// ---------------------------------------------------------------------------
+// Ladder work digest: what every rung cost, not only what it produced. The
+// steps a rung consumes decide where ResourceExhausted fires and therefore
+// how the service escalates, so the per-rung budget and solver counters are
+// pinned too (wall_ns excluded: the one nondeterministic counter). Each
+// input runs clean, under every planner fault point, under two step budgets
+// and under both post-pass objectives; a reused PlannerWorkspace must not
+// change a single count.
+
+std::string digest_work(const Result<FusionPlan>& r) {
+    std::ostringstream out;
+    const std::vector<StageReport>& stages = r.ok() ? r.value().stages : r.status().stages;
+    for (const StageReport& s : stages) {
+        const SolverStats& st = s.solver;
+        out << "  " << s.stage << ":" << to_string(s.code) << " budget=" << s.budget_consumed
+            << " scans=" << st.edge_scans << " relax=" << st.relaxations
+            << " iters=" << st.iterations << " guard=" << st.guard_steps
+            << " warm=" << st.warm_starts << " cold=" << st.cold_solves
+            << " shared=" << st.rungs_shared << "\n";
+    }
+    out << "  => " << (r.ok() ? to_string(r.value().algorithm) : to_string(r.status().code()))
+        << "\n";
+    return out.str();
+}
+
+std::vector<std::pair<std::string, Mldg>> ladder_work_inputs() {
+    std::vector<std::pair<std::string, Mldg>> inputs;
+    for (const workloads::Workload& w : workloads::paper_workloads()) {
+        inputs.emplace_back(w.id, w.graph);
+    }
+    for (const workloads::ExtraWorkload& w : workloads::extra_workloads()) {
+        inputs.emplace_back(w.id, analysis::build_mldg(ir::parse_program(w.dsl_source)));
+    }
+    inputs.emplace_back("fig14_as_printed", workloads::fig14_graph_as_printed());
+    // The shape of the benchmark's miss-graph traffic: ~4 forward edges and
+    // ~1 backward edge per node.
+    const int kSizes[] = {32, 64, 100, 160};
+    for (int k = 0; k < 4; ++k) {
+        Rng rng(static_cast<std::uint64_t>(101 + k));
+        workloads::RandomGraphOptions o;
+        o.num_nodes = kSizes[k];
+        o.forward_edge_prob = 4.0 / o.num_nodes;
+        o.backward_edge_prob = 1.0 / o.num_nodes;
+        o.self_edge_prob = 0.2;
+        inputs.emplace_back("random_legal_" + std::to_string(o.num_nodes),
+                            workloads::random_legal_mldg(rng, o));
+    }
+    return inputs;
+}
+
+TEST(GoldenDifferential, LadderWork) {
+    struct Variant {
+        std::string label;
+        const char* fault = nullptr;
+        std::uint64_t max_steps = kUnlimitedSteps;
+        PlanPolicy policy = PlanPolicy::FastestSchedule;
+        bool compact = false;
+    };
+    std::vector<Variant> variants{{"clean"}};
+    for (const char* fault : {"acyclic_doall", "cyclic_doall.phase1", "cyclic_doall.phase2",
+                              "forced_carry", "hyperplane", "llofra", "distribution",
+                              "solver.bellman_ford", "solver.spfa"}) {
+        variants.push_back({std::string("fault ") + fault, fault});
+    }
+    variants.push_back({"steps 256", nullptr, 256});
+    variants.push_back({"steps 2048", nullptr, 2048});
+    variants.push_back({"policy smallest", nullptr, kUnlimitedSteps, PlanPolicy::SmallestCode});
+    variants.push_back({"compact", nullptr, kUnlimitedSteps, PlanPolicy::FastestSchedule, true});
+
+    PlannerWorkspace ws;
+    std::ostringstream out;
+    for (const auto& [id, g] : ladder_work_inputs()) {
+        out << "== workload " << id << "\n";
+        for (const Variant& v : variants) {
+            TryPlanOptions opts;
+            opts.limits.max_steps = v.max_steps;
+            opts.plan.policy = v.policy;
+            opts.plan.compact_prologue = v.compact;
+            faultpoint::reset();
+            if (v.fault != nullptr) faultpoint::arm(v.fault);
+            const std::string alone = digest_work(try_plan_fusion(g, opts));
+            opts.workspace = &ws;
+            const std::string reused = digest_work(try_plan_fusion(g, opts));
+            faultpoint::reset();
+            EXPECT_EQ(alone, reused) << id << " / " << v.label
+                                     << ": a reused workspace changed the ladder's work";
+            out << "-- " << v.label << "\n" << alone;
+        }
+    }
+    check_golden("ladder_work.golden", out.str());
 }
 
 // ---------------------------------------------------------------------------

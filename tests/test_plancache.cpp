@@ -604,6 +604,60 @@ TEST_F(PlanCacheTest, ServiceWarmStateSurvivesARestart) {
         << "a pre-kill plan must be served byte-identical after restart";
 }
 
+TEST_F(PlanCacheTest, LegacyDistSidecarsAreIgnored) {
+    // tests/fixtures/legacy_store holds the paper gallery's `.plan` files
+    // together with the `<key>.dist` distance-vector sidecars that stores
+    // written by earlier releases carry. The plans must serve warm; the
+    // sidecars are never read, counted, quarantined or deleted.
+    TempStoreDir dir("legacy");
+    const std::filesystem::path fixtures =
+        std::filesystem::path(LF_SOURCE_DIR) / "tests" / "fixtures" / "legacy_store";
+    std::vector<std::pair<std::string, std::string>> sidecars;  // path, bytes
+    for (const auto& entry : std::filesystem::directory_iterator(fixtures)) {
+        const std::string to = dir.path + "/" + entry.path().filename().string();
+        std::filesystem::copy_file(entry.path(), to);
+        if (entry.path().extension() == ".dist") sidecars.emplace_back(to, slurp_file(to));
+    }
+    ASSERT_EQ(sidecars.size(), workloads::paper_workloads().size());
+    const auto sidecars_untouched = [&] {
+        for (const auto& [path, bytes] : sidecars) {
+            EXPECT_EQ(slurp_file(path), bytes) << path;
+            EXPECT_FALSE(std::filesystem::exists(path + ".quarantined")) << path;
+        }
+    };
+
+    std::vector<JobSpec> jobs;
+    for (const auto& w : workloads::paper_workloads()) {
+        JobSpec job;
+        job.id = w.id;
+        job.graph = w.graph;
+        jobs.push_back(std::move(job));
+    }
+    ServiceConfig config;
+    config.workers = 1;
+    config.plan_store_dir = dir.path;
+    const RunReport report = FusionService(config).run(jobs);
+    for (const JobRecord& rec : report.jobs) {
+        EXPECT_EQ(rec.status, JobStatus::Verified) << rec.id;
+        EXPECT_EQ(rec.cache, CacheOutcome::Hit) << rec.id;
+    }
+    EXPECT_EQ(report.plancache.disk_hits, jobs.size());
+    EXPECT_EQ(report.plancache.disk_quarantined, 0u);
+    EXPECT_EQ(report.plancache.disk_writes, 0u);
+    sidecars_untouched();
+
+    // Invalidation quarantines the plan file and leaves its sidecar alone.
+    PlanCache cache(8, dir.path);
+    for (const auto& w : workloads::paper_workloads()) {
+        const std::uint64_t key = PlanCache::key_of(w.graph, PlanOptions{}, true);
+        ASSERT_TRUE(cache.lookup(key).has_value()) << w.id;
+        cache.invalidate(key);
+        EXPECT_TRUE(std::filesystem::exists(cache.plan_path(key) + ".quarantined")) << w.id;
+    }
+    EXPECT_EQ(cache.stats().disk_quarantined, jobs.size());
+    sidecars_untouched();
+}
+
 // ---- Warm-started ladder fidelity ----
 
 std::string trace_fingerprint(const std::vector<StageReport>& stages) {

@@ -103,6 +103,45 @@ TEST_F(SvcTest, FullGalleryVerifiesCleanly) {
     }
 }
 
+TEST_F(SvcTest, VerdictsDoNotDependOnSchedulingOrTheCache) {
+    // Every job plans alone through try_plan_fusion, whichever worker pulls
+    // it and whether the plan cache is consulted: one worker, two workers
+    // and a cache-bypassing run (svc.plancache armed) must agree on every
+    // verdict, algorithm and level -- and on the planner's own answer.
+    std::vector<JobSpec> jobs = full_gallery_jobs();
+    JobSpec illegal;
+    illegal.id = "fig14_as_printed";
+    illegal.graph = workloads::fig14_graph_as_printed();
+    jobs.push_back(std::move(illegal));
+
+    ServiceConfig one;
+    one.workers = 1;
+    const RunReport serial = FusionService(one).run(jobs);
+    ServiceConfig two;
+    two.workers = 2;
+    const RunReport pooled = FusionService(two).run(jobs);
+    faultpoint::arm("svc.plancache");
+    const RunReport bypassed = FusionService(two).run(jobs);
+    faultpoint::reset();
+
+    ASSERT_EQ(serial.jobs.size(), jobs.size());
+    ASSERT_EQ(pooled.jobs.size(), jobs.size());
+    ASSERT_EQ(bypassed.jobs.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const Result<FusionPlan> direct = try_plan_fusion(jobs[i].graph);
+        EXPECT_EQ(serial.jobs[i].algorithm,
+                  direct.ok() ? to_string(direct.value().algorithm) : std::string())
+            << jobs[i].id;
+        for (const RunReport* other : {&pooled, &bypassed}) {
+            EXPECT_EQ(other->jobs[i].status, serial.jobs[i].status) << jobs[i].id;
+            EXPECT_EQ(other->jobs[i].algorithm, serial.jobs[i].algorithm) << jobs[i].id;
+            EXPECT_EQ(other->jobs[i].level, serial.jobs[i].level) << jobs[i].id;
+        }
+        EXPECT_EQ(bypassed.jobs[i].cache, CacheOutcome::Bypass) << jobs[i].id;
+    }
+    EXPECT_EQ(bypassed.plancache.insertions, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Retry with escalated budgets.
 // ---------------------------------------------------------------------------
