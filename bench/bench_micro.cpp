@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the core algorithmic kernels:
 // Bellman-Ford (1-D and lexicographic 2-D), the constraint solver, the four
-// fusion algorithms, dependence analysis and the cache simulator.
+// fusion algorithms, dependence analysis, the cache simulator and the
+// interpreter oracle (a native kernel's expected checksum, a gate replay).
 //
 // In addition to the usual google-benchmark output, the binary writes two
 // machine-readable summaries:
@@ -29,6 +30,8 @@
 
 #include "analysis/dependence.hpp"
 #include "exec/compile.hpp"
+#include "exec/engines.hpp"
+#include "exec/equivalence.hpp"
 #include "exec/native.hpp"
 #include "fusion/acyclic_doall.hpp"
 #include "fusion/certify.hpp"
@@ -166,6 +169,39 @@ void BM_CacheSimSweep(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_CacheSimSweep);
+
+// ---- The interpreter oracle ----
+//
+// The host-side interpreter is the reference every fused schedule and every
+// native kernel is checked against: expected_c_checksum is the native
+// path's expected value, and the admission gate replays each DSL job.
+
+void BM_InterpChecksumFig8(benchmark::State& state) {
+    const ir::Program p = ir::parse_program(workloads::sources::kFig8);
+    const Domain dom{256, 256};
+    for (auto _ : state) benchmark::DoNotOptimize(transform::expected_c_checksum(p, dom));
+}
+BENCHMARK(BM_InterpChecksumFig8)->Unit(benchmark::kMillisecond);
+
+void BM_GateReplayRandom12(benchmark::State& state) {
+    // svc::admit_plan's differential replay of a seeded 12-loop program at
+    // its default 12x12 domain: both schedules on fresh stores, compared.
+    Rng rng(12);
+    workloads::RandomProgramOptions options;
+    options.num_loops = 12;
+    const ir::Program p = workloads::random_program(rng, options);
+    const FusionPlan plan = plan_fusion(analysis::build_mldg(p));
+    const Domain dom{12, 12};
+    for (auto _ : state) {
+        exec::ArrayStore golden(p, dom);
+        (void)exec::run_original(p, dom, golden);
+        const transform::FusedProgram fp = transform::fuse_program(p, plan);
+        exec::ArrayStore subject(p, dom);
+        (void)exec::run_fused_rowwise(fp, dom, subject);
+        benchmark::DoNotOptimize(exec::first_difference(p, dom, golden, subject));
+    }
+}
+BENCHMARK(BM_GateReplayRandom12)->Unit(benchmark::kMicrosecond);
 
 // ---- End-to-end planning benchmarks (full ladder, gallery inputs) ----
 //

@@ -64,7 +64,7 @@ std::string read_source(const Options& o) {
         return buffer.str();
     }
     std::ifstream in(o.file);
-    lf::check(in.good(), "cannot open '" + o.file + "'");
+    lf::check(in.good(), [&] { return "cannot open '" + o.file + "'"; });
     std::ostringstream buffer;
     buffer << in.rdbuf();
     return buffer.str();

@@ -19,6 +19,7 @@
 // Exit code: 0 when every job of every run reached a terminal state
 // (Verified | Quarantined with a non-empty trace); 1 otherwise.
 
+#include <climits>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -28,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.hpp"
 #include "support/faultpoint.hpp"
 #include "svc/manifest.hpp"
 #include "svc/report.hpp"
@@ -120,51 +122,55 @@ int main(int argc, char** argv) {
         return argv[++i];
     };
 
-    for (int i = 1; i < argc; ++i) {
+    int i = 1;
+    // The whole of the next argument as an integer in [lo, hi], else exit 2
+    // naming the flag at argv[i].
+    auto int_arg = [&](long long lo = INT_MIN, long long hi = INT_MAX) {
+        const char* flag = argv[i];
+        return cli::int_value(flag, next_arg(i), lo, hi);
+    };
+    for (; i < argc; ++i) {
         const std::string arg = argv[i];
-        try {
-            if (arg == "--workers") config.workers = std::stoi(next_arg(i));
-            else if (arg == "--attempts") config.retry.max_attempts = std::stoi(next_arg(i));
-            else if (arg == "--steps") config.retry.initial_steps = std::stoull(next_arg(i));
-            else if (arg == "--escalation") config.retry.escalation = std::stoi(next_arg(i));
-            else if (arg == "--deadline-ms") config.retry.deadline_ms = std::stoll(next_arg(i));
-            else if (arg == "--breaker-k") config.breaker.failure_threshold = std::stoi(next_arg(i));
-            else if (arg == "--probe") config.breaker.probe_interval = std::stoi(next_arg(i));
-            else if (arg == "--checkpoint") config.checkpoint_path = next_arg(i);
-            else if (arg == "--cache") config.plan_cache_capacity = std::stoull(next_arg(i));
-            else if (arg == "--plan-policy") {
-                const std::string name = next_arg(i);
-                const std::optional<lf::PlanPolicy> parsed = lf::parse_plan_policy(name);
-                if (!parsed.has_value()) {
-                    std::cerr << "error: unknown plan policy '" << name
-                              << "' (fastest|smallest)\n";
-                    return 1;
-                }
-                config.plan_policy = *parsed;
+        if (arg == "--workers") config.workers = static_cast<int>(int_arg());
+        else if (arg == "--attempts") config.retry.max_attempts = static_cast<int>(int_arg());
+        else if (arg == "--steps") config.retry.initial_steps = int_arg(0, LLONG_MAX);
+        else if (arg == "--escalation") config.retry.escalation = static_cast<int>(int_arg());
+        else if (arg == "--deadline-ms") config.retry.deadline_ms = int_arg(LLONG_MIN, LLONG_MAX);
+        else if (arg == "--breaker-k") {
+            config.breaker.failure_threshold = static_cast<int>(int_arg());
+        }
+        else if (arg == "--probe") config.breaker.probe_interval = static_cast<int>(int_arg());
+        else if (arg == "--checkpoint") config.checkpoint_path = next_arg(i);
+        else if (arg == "--cache") config.plan_cache_capacity = int_arg(0, LLONG_MAX);
+        else if (arg == "--plan-policy") {
+            const std::string name = next_arg(i);
+            const std::optional<lf::PlanPolicy> parsed = lf::parse_plan_policy(name);
+            if (!parsed.has_value()) {
+                std::cerr << "error: unknown plan policy '" << name << "' (fastest|smallest)\n";
+                return 1;
             }
-            else if (arg == "--report") report_path = next_arg(i);
-            else if (arg == "--no-timings") include_timings = false;
-            else if (arg == "--mldg") mldg_files.push_back(next_arg(i));
-            else if (arg == "--dsl") dsl_files.push_back(next_arg(i));
-            else if (arg == "--domain") {
-                domain.n = std::stoll(next_arg(i));
-                domain.m = std::stoll(next_arg(i));
-            } else if (arg == "--exec") config.native_exec = true;
-            else if (arg == "--exec-cache") config.native_cache_dir = next_arg(i);
-            else if (arg == "--exec-wall-ms") config.native_wall_ms = std::stoll(next_arg(i));
-            else if (arg == "--exec-threads") config.exec_threads = std::stoi(next_arg(i));
-            else if (arg == "--exec-tile") config.exec_tile = std::stoi(next_arg(i));
-            else if (arg == "--exec-cutoff") config.exec_serial_cutoff = std::stoll(next_arg(i));
-            else if (arg == "--store") config.plan_store_dir = next_arg(i);
-            else if (arg == "--storm") storm = true;
-            else if (arg == "--help" || arg == "-h") { usage(); return 0; }
-            else {
-                std::cerr << "fusion_service: unknown option '" << arg << "'\n";
-                usage();
-                return 2;
-            }
-        } catch (const std::exception& e) {
-            std::cerr << "fusion_service: bad value for " << arg << ": " << e.what() << "\n";
+            config.plan_policy = *parsed;
+        }
+        else if (arg == "--report") report_path = next_arg(i);
+        else if (arg == "--no-timings") include_timings = false;
+        else if (arg == "--mldg") mldg_files.push_back(next_arg(i));
+        else if (arg == "--dsl") dsl_files.push_back(next_arg(i));
+        else if (arg == "--domain") {
+            const char* flag = argv[i];
+            domain.n = cli::int_value(flag, next_arg(i), LLONG_MIN, LLONG_MAX);
+            domain.m = cli::int_value(flag, next_arg(i), LLONG_MIN, LLONG_MAX);
+        } else if (arg == "--exec") config.native_exec = true;
+        else if (arg == "--exec-cache") config.native_cache_dir = next_arg(i);
+        else if (arg == "--exec-wall-ms") config.native_wall_ms = int_arg(LLONG_MIN, LLONG_MAX);
+        else if (arg == "--exec-threads") config.exec_threads = static_cast<int>(int_arg());
+        else if (arg == "--exec-tile") config.exec_tile = static_cast<int>(int_arg());
+        else if (arg == "--exec-cutoff") config.exec_serial_cutoff = int_arg(LLONG_MIN, LLONG_MAX);
+        else if (arg == "--store") config.plan_store_dir = next_arg(i);
+        else if (arg == "--storm") storm = true;
+        else if (arg == "--help" || arg == "-h") { usage(); return 0; }
+        else {
+            std::cerr << "fusion_service: unknown option '" << arg << "'\n";
+            usage();
             return 2;
         }
     }

@@ -61,10 +61,10 @@ int main(int argc, char** argv) {
                     break;
                 }
             }
-            check(found, "unknown builtin '" + builtin + "'");
+            check(found, [&] { return "unknown builtin '" + builtin + "'"; });
         } else if (!file.empty()) {
             std::ifstream in(file);
-            check(in.good(), "cannot open '" + file + "'");
+            check(in.good(), [&] { return "cannot open '" + file + "'"; });
             std::ostringstream buf;
             buf << in.rdbuf();
             g = parse_mldg(buf.str());
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
         if (!svg_prefix.empty()) {
             const auto write = [](const std::string& path, const std::string& content) {
                 std::ofstream out(path);
-                check(out.good(), "cannot write '" + path + "'");
+                check(out.good(), [&] { return "cannot write '" + path + "'"; });
                 out << content;
             };
             write(svg_prefix + "_graph.svg", viz::svg_mldg(g, "original"));

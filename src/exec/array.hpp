@@ -13,6 +13,8 @@ namespace lf::exec {
 
 class Array2D {
   public:
+    static constexpr const char* kOutOfBounds = "Array2D: index out of bounds (halo too small?)";
+
     Array2D() = default;
     Array2D(std::int64_t lo_i, std::int64_t hi_i, std::int64_t lo_j, std::int64_t hi_j)
         : lo_i_(lo_i), lo_j_(lo_j), rows_(hi_i - lo_i + 1), cols_(hi_j - lo_j + 1) {
@@ -36,6 +38,10 @@ class Array2D {
         return static_cast<std::int64_t>(index(i, j));
     }
 
+    /// The cells in row-major order (linear_index order).
+    [[nodiscard]] double* data() { return data_.data(); }
+    [[nodiscard]] const double* data() const { return data_.data(); }
+
     [[nodiscard]] std::int64_t size() const { return rows_ * cols_; }
     [[nodiscard]] std::int64_t lo_i() const { return lo_i_; }
     [[nodiscard]] std::int64_t lo_j() const { return lo_j_; }
@@ -44,7 +50,7 @@ class Array2D {
 
   private:
     [[nodiscard]] std::size_t index(std::int64_t i, std::int64_t j) const {
-        check(in_bounds(i, j), "Array2D: index out of bounds (halo too small?)");
+        check(in_bounds(i, j), kOutOfBounds);
         return static_cast<std::size_t>((i - lo_i_) * cols_ + (j - lo_j_));
     }
 

@@ -5,74 +5,57 @@
 #include <thread>
 #include <vector>
 
+#include "exec/interp.hpp"
 #include "support/diagnostics.hpp"
 
 namespace lf::exec {
 
 namespace {
 
-/// Executes body `b`'s statements for the instance at original iteration
-/// (qi, qj). Returns the number of statement instances run.
-std::int64_t run_instance(const transform::FusedLoopBody& b, std::int64_t qi, std::int64_t qj,
-                          ArrayStore& store) {
-    for (const ir::Statement& s : b.statements) {
-        const double value = s.eval(store, qi, qj);
-        const Vec2 cell = s.target.cell(qi, qj);
-        store.store(s.target.array, cell.x, cell.y, value);
-    }
-    return static_cast<std::int64_t>(b.statements.size());
+/// Resolves the fused program's bodies, in fused body order, against `store`.
+ResolvedProgram resolve_fused(const transform::FusedProgram& fp, ArrayStore& store) {
+    ResolvedProgram rp(store);
+    for (const transform::FusedLoopBody& b : fp.bodies) rp.add_body(b.statements, b.retiming);
+    return rp;
+}
+
+/// Resolves the original program's loops, in program order, against `store`.
+ResolvedProgram resolve_original(const ir::Program& p, ArrayStore& store) {
+    ResolvedProgram rp(store);
+    for (const ir::LoopNest& loop : p.loops) rp.add_body(loop.body, Vec2{0, 0});
+    return rp;
 }
 
 /// Executes all active bodies at fused point (pi, pj), in body order.
-std::int64_t run_point(const transform::FusedProgram& fp, const Domain& dom, std::int64_t pi,
-                       std::int64_t pj, ArrayStore& store) {
+std::int64_t run_point(Evaluator& ev, const std::int64_t* ext, std::int64_t pi,
+                       std::int64_t pj) {
+    const std::int64_t p[2] = {pi, pj};
     std::int64_t instances = 0;
-    for (const transform::FusedLoopBody& b : fp.bodies) {
-        const std::int64_t qi = pi + b.retiming.x;
-        const std::int64_t qj = pj + b.retiming.y;
-        if (dom.contains(qi, qj)) instances += run_instance(b, qi, qj, store);
-    }
+    for (int b = 0; b < ev.program().num_bodies(); ++b) instances += ev.run_at(b, p, ext);
     return instances;
 }
 
-/// Executes one body at fused point (pi, pj) if active (peel sections).
-std::int64_t run_point_for_body(const transform::FusedProgram&, const Domain& dom,
-                                const transform::FusedLoopBody& b, std::int64_t pi,
-                                std::int64_t pj, ArrayStore& store) {
-    const std::int64_t qi = pi + b.retiming.x;
-    const std::int64_t qj = pj + b.retiming.y;
-    return dom.contains(qi, qj) ? run_instance(b, qi, qj, store) : 0;
-}
+ExecStats from_sweep(const SweepStats& s) { return ExecStats{s.barriers, s.instances, s.barriers}; }
 
 }  // namespace
 
 ExecStats run_original(const ir::Program& p, const Domain& dom, ArrayStore& store) {
-    ExecStats stats;
-    for (std::int64_t i = 0; i <= dom.n; ++i) {
-        for (const ir::LoopNest& loop : p.loops) {
-            for (std::int64_t j = 0; j <= dom.m; ++j) {
-                for (const ir::Statement& s : loop.body) {
-                    const double value = s.eval(store, i, j);
-                    const Vec2 cell = s.target.cell(i, j);
-                    store.store(s.target.array, cell.x, cell.y, value);
-                    ++stats.instances;
-                }
-            }
-            ++stats.barriers;  // one barrier terminates each DOALL loop
-        }
-    }
-    stats.phases = stats.barriers;
-    return stats;
+    const ResolvedProgram rp = resolve_original(p, store);
+    Evaluator ev(rp);
+    return from_sweep(sweep_original(ev, {dom.n, dom.m}));
 }
 
 ExecStats run_fused_rowwise(const transform::FusedProgram& fp, const Domain& dom,
                             ArrayStore& store) {
+    const ResolvedProgram rp = resolve_fused(fp, store);
+    Evaluator ev(rp);
+    const std::int64_t ext[2] = {dom.n, dom.m};
     ExecStats stats;
     const std::int64_t jlo = fp.point_j_lo(), jhi = fp.point_j_hi(dom);
     for (std::int64_t pi = fp.point_i_lo(); pi <= fp.point_i_hi(dom); ++pi) {
         std::int64_t row_instances = 0;
         for (std::int64_t pj = jlo; pj <= jhi; ++pj) {
-            row_instances += run_point(fp, dom, pi, pj, store);
+            row_instances += run_point(ev, ext, pi, pj);
         }
         if (row_instances > 0) {
             stats.instances += row_instances;
@@ -84,47 +67,17 @@ ExecStats run_fused_rowwise(const transform::FusedProgram& fp, const Domain& dom
 }
 
 ExecStats run_wavefront(const transform::FusedProgram& fp, const Domain& dom, ArrayStore& store) {
-    ExecStats stats;
-    const Vec2 s = fp.schedule;
-    const std::int64_t ilo = fp.point_i_lo(), ihi = fp.point_i_hi(dom);
-    const std::int64_t jlo = fp.point_j_lo(), jhi = fp.point_j_hi(dom);
-
-    // Bucket the fused points by t = s . p, then sweep hyperplanes in order.
-    const std::int64_t c1 = s.x * ilo + s.y * jlo, c2 = s.x * ilo + s.y * jhi;
-    const std::int64_t c3 = s.x * ihi + s.y * jlo, c4 = s.x * ihi + s.y * jhi;
-    const std::int64_t tlo = std::min({c1, c2, c3, c4});
-    const std::int64_t thi = std::max({c1, c2, c3, c4});
-
-    std::vector<std::vector<Vec2>> buckets(static_cast<std::size_t>(thi - tlo + 1));
-    for (std::int64_t pi = ilo; pi <= ihi; ++pi) {
-        for (std::int64_t pj = jlo; pj <= jhi; ++pj) {
-            bool active = false;
-            for (const transform::FusedLoopBody& b : fp.bodies) {
-                if (dom.contains(pi + b.retiming.x, pj + b.retiming.y)) {
-                    active = true;
-                    break;
-                }
-            }
-            if (active) {
-                const std::int64_t t = s.x * pi + s.y * pj;
-                buckets[static_cast<std::size_t>(t - tlo)].push_back(Vec2{pi, pj});
-            }
-        }
-    }
-    for (const auto& bucket : buckets) {
-        if (bucket.empty()) continue;
-        for (const Vec2& p : bucket) {
-            stats.instances += run_point(fp, dom, p.x, p.y, store);
-        }
-        ++stats.barriers;  // one barrier terminates each hyperplane
-    }
-    stats.phases = stats.barriers;
-    return stats;
+    const ResolvedProgram rp = resolve_fused(fp, store);
+    Evaluator ev(rp);
+    return from_sweep(sweep_wavefront(ev, {fp.schedule.x, fp.schedule.y}, {dom.n, dom.m}));
 }
 
 ExecStats run_fused_blocked(const transform::FusedProgram& fp, const Domain& dom,
                             ArrayStore& store, int processors) {
     check(processors >= 1, "run_fused_blocked: need at least one processor");
+    const ResolvedProgram rp = resolve_fused(fp, store);
+    Evaluator ev(rp);
+    const std::int64_t ext[2] = {dom.n, dom.m};
     ExecStats stats;
     const std::int64_t jlo = fp.point_j_lo(), jhi = fp.point_j_hi(dom);
     const std::int64_t width = jhi - jlo + 1;
@@ -136,7 +89,7 @@ ExecStats run_fused_blocked(const transform::FusedProgram& fp, const Domain& dom
             const std::int64_t my_lo = jlo + proc * block;
             const std::int64_t my_hi = std::min(jhi, my_lo + block - 1);
             for (std::int64_t pj = my_lo; pj <= my_hi; ++pj) {
-                row_instances += run_point(fp, dom, pi, pj, store);
+                row_instances += run_point(ev, ext, pi, pj);
             }
         }
         if (row_instances > 0) {
@@ -152,21 +105,19 @@ ExecStats run_fused_blocked(const transform::FusedProgram& fp, const Domain& dom
 ExecStats run_original_blocked(const ir::Program& p, const Domain& dom, ArrayStore& store,
                                int processors) {
     check(processors >= 1, "run_original_blocked: need at least one processor");
+    const ResolvedProgram rp = resolve_original(p, store);
+    Evaluator ev(rp);
     ExecStats stats;
     const std::int64_t block = (dom.cols() + processors - 1) / processors;
     for (std::int64_t i = 0; i <= dom.n; ++i) {
-        for (const ir::LoopNest& loop : p.loops) {
+        for (int loop = 0; loop < rp.num_bodies(); ++loop) {
             for (int proc = 0; proc < processors; ++proc) {
                 store.set_trace_processor(static_cast<std::int16_t>(proc));
                 const std::int64_t my_lo = proc * block;
                 const std::int64_t my_hi = std::min(dom.m, my_lo + block - 1);
                 for (std::int64_t j = my_lo; j <= my_hi; ++j) {
-                    for (const ir::Statement& s : loop.body) {
-                        const double value = s.eval(store, i, j);
-                        const Vec2 cell = s.target.cell(i, j);
-                        store.store(s.target.array, cell.x, cell.y, value);
-                        ++stats.instances;
-                    }
+                    const std::int64_t q[2] = {i, j};
+                    stats.instances += ev.run(loop, q);
                 }
             }
             ++stats.barriers;
@@ -181,6 +132,9 @@ ExecStats run_fused_peeled(const transform::FusedProgram& fp, const Domain& dom,
                            ArrayStore& store) {
     check(fp.level == ParallelismLevel::InnerDoall,
           "run_fused_peeled: only inner-DOALL plans have a row-peeled form");
+    const ResolvedProgram rp = resolve_fused(fp, store);
+    Evaluator ev(rp);
+    const std::int64_t ext[2] = {dom.n, dom.m};
     ExecStats stats;
     const std::int64_t ilo = fp.point_i_lo(), ihi = fp.point_i_hi(dom);
     const std::int64_t main_ilo = fp.main_i_lo(), main_ihi = fp.main_i_hi(dom);
@@ -191,11 +145,13 @@ ExecStats run_fused_peeled(const transform::FusedProgram& fp, const Domain& dom,
     // Executes one row as a sequence of stand-alone per-body DOALL loops
     // (the prologue/epilogue row form): one barrier per active body.
     auto run_row_per_body = [&](std::int64_t pi) {
-        for (const transform::FusedLoopBody& b : fp.bodies) {
-            const std::int64_t qi = pi + b.retiming.x;
+        for (int b = 0; b < rp.num_bodies(); ++b) {
+            const Vec2 r = fp.bodies[static_cast<std::size_t>(b)].retiming;
+            const std::int64_t qi = pi + r.x;
             if (qi < 0 || qi > dom.n) continue;
-            for (std::int64_t pj = -b.retiming.y; pj <= dom.m - b.retiming.y; ++pj) {
-                stats.instances += run_instance(b, qi, pj + b.retiming.y, store);
+            for (std::int64_t qj = 0; qj <= dom.m; ++qj) {
+                const std::int64_t q[2] = {qi, qj};
+                stats.instances += ev.run(b, q);
             }
             ++stats.barriers;
         }
@@ -207,21 +163,23 @@ ExecStats run_fused_peeled(const transform::FusedProgram& fp, const Domain& dom,
             continue;
         }
         // Steady-state row: j-prologue peels (serial, per body) ...
-        for (const transform::FusedLoopBody& b : fp.bodies) {
-            const std::int64_t b_lo = -b.retiming.y;
+        for (int b = 0; b < rp.num_bodies(); ++b) {
+            const std::int64_t b_lo = -fp.bodies[static_cast<std::size_t>(b)].retiming.y;
             for (std::int64_t pj = std::max(b_lo, jlo_all); pj < main_jlo; ++pj) {
-                stats.instances += run_point_for_body(fp, dom, b, pi, pj, store);
+                const std::int64_t p[2] = {pi, pj};
+                stats.instances += ev.run_at(b, p, ext);
             }
         }
         // ... the fused DOALL core (one barrier) ...
         for (std::int64_t pj = main_jlo; pj <= main_jhi; ++pj) {
-            stats.instances += run_point(fp, dom, pi, pj, store);
+            stats.instances += run_point(ev, ext, pi, pj);
         }
         // ... and j-epilogue peels.
-        for (const transform::FusedLoopBody& b : fp.bodies) {
-            const std::int64_t b_hi = dom.m - b.retiming.y;
+        for (int b = 0; b < rp.num_bodies(); ++b) {
+            const std::int64_t b_hi = dom.m - fp.bodies[static_cast<std::size_t>(b)].retiming.y;
             for (std::int64_t pj = main_jhi + 1; pj <= std::min(b_hi, jhi_all); ++pj) {
-                stats.instances += run_point_for_body(fp, dom, b, pi, pj, store);
+                const std::int64_t p[2] = {pi, pj};
+                stats.instances += ev.run_at(b, p, ext);
             }
         }
         ++stats.barriers;
@@ -235,8 +193,11 @@ ExecStats run_fused_threaded(const transform::FusedProgram& fp, const Domain& do
     check(fp.level == ParallelismLevel::InnerDoall,
           "run_fused_threaded: plan's fused rows are not DOALL; use run_wavefront");
     check(!store.tracing(), "run_fused_threaded: tracing is single-threaded only");
+    check(!store.order_checking(), "run_fused_threaded: order checking is single-threaded only");
     check(num_threads >= 1, "run_fused_threaded: need at least one thread");
 
+    const ResolvedProgram rp = resolve_fused(fp, store);
+    const std::int64_t ext[2] = {dom.n, dom.m};
     const std::int64_t ilo = fp.point_i_lo(), ihi = fp.point_i_hi(dom);
     const std::int64_t jlo = fp.point_j_lo(), jhi = fp.point_j_hi(dom);
     const std::int64_t width = jhi - jlo + 1;
@@ -249,10 +210,11 @@ ExecStats run_fused_threaded(const transform::FusedProgram& fp, const Domain& do
         const std::int64_t chunk = (width + num_threads - 1) / num_threads;
         const std::int64_t my_lo = jlo + tid * chunk;
         const std::int64_t my_hi = std::min(jhi, my_lo + chunk - 1);
+        Evaluator ev(rp);  // per thread: its own operand stack and meter counts
         std::int64_t my_instances = 0;
         for (std::int64_t pi = ilo; pi <= ihi; ++pi) {
             for (std::int64_t pj = my_lo; pj <= my_hi; ++pj) {
-                my_instances += run_point(fp, dom, pi, pj, store);
+                my_instances += run_point(ev, ext, pi, pj);
             }
             row_barrier.arrive_and_wait();  // end-of-row synchronization
         }

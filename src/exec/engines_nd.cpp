@@ -1,10 +1,10 @@
 #include "exec/engines_nd.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "analysis/dependence.hpp"
+#include "exec/interp.hpp"
 #include "support/diagnostics.hpp"
 
 namespace lf::exec {
@@ -39,84 +39,30 @@ std::optional<std::vector<int>> md_body_order(const MldgN& retimed) {
     return order;
 }
 
-namespace {
-
-std::int64_t run_loop_instance(const front::BasicLoopNest<VecN>& loop, const VecN& q,
-                               MdArrayStore& store) {
-    for (const front::BasicStatement<VecN>& s : loop.body) {
-        const double value = s.value->eval(store, q);
-        store.store(s.target.array, s.target.cell(q), value);
-    }
-    return static_cast<std::int64_t>(loop.body.size());
-}
-
-}  // namespace
-
 MdExecStats run_original_md(const front::BasicProgram<VecN>& p, const MdDomain& dom,
                             MdArrayStore& store) {
-    MdExecStats stats;
-    std::vector<std::int64_t> lo(static_cast<std::size_t>(p.dim - 1), 0);
-    std::vector<std::int64_t> hi(dom.ext.begin(), dom.ext.end() - 1);
-    const std::int64_t inner_hi = dom.ext.back();
-    for_each_point_nd(lo, hi, [&](const VecN& prefix) {
-        for (const front::BasicLoopNest<VecN>& loop : p.loops) {
-            VecN q(p.dim);
-            for (int k = 0; k < p.dim - 1; ++k) q[k] = prefix[k];
-            for (std::int64_t j = 0; j <= inner_hi; ++j) {
-                q[p.dim - 1] = j;
-                stats.instances += run_loop_instance(loop, q, store);
-            }
-            ++stats.barriers;
-        }
-    });
-    return stats;
+    ResolvedProgram rp(store);
+    for (const front::BasicLoopNest<VecN>& loop : p.loops) rp.add_body(loop.body, VecN(p.dim));
+    Evaluator ev(rp);
+    const SweepStats s = sweep_original(ev, dom.ext);
+    return MdExecStats{s.barriers, s.instances};
 }
 
 MdExecStats run_wavefront_md(const front::BasicProgram<VecN>& p, const NdFusionPlan& plan,
                              const MdDomain& dom, MdArrayStore& store) {
-    MdExecStats stats;
     check(static_cast<int>(p.loops.size()) == plan.retimed.num_nodes(),
           "run_wavefront_md: plan/program mismatch");
     const auto order = md_body_order(plan.retimed);
     check(order.has_value(), "run_wavefront_md: zero-dependence cycle in the retimed graph");
 
-    // Fused point bounding box: body u active at p with p + r(u) in domain.
-    std::vector<std::int64_t> lo(static_cast<std::size_t>(p.dim));
-    std::vector<std::int64_t> hi(static_cast<std::size_t>(p.dim));
-    for (int k = 0; k < p.dim; ++k) {
-        std::int64_t l = -plan.retiming.of(0)[k];
-        std::int64_t h = dom.ext[static_cast<std::size_t>(k)] - plan.retiming.of(0)[k];
-        for (int v = 1; v < plan.retimed.num_nodes(); ++v) {
-            l = std::min(l, -plan.retiming.of(v)[k]);
-            h = std::max(h, dom.ext[static_cast<std::size_t>(k)] - plan.retiming.of(v)[k]);
-        }
-        lo[static_cast<std::size_t>(k)] = l;
-        hi[static_cast<std::size_t>(k)] = h;
+    // Bodies in the (0..0)-dependence order, which is their order at a point.
+    ResolvedProgram rp(store);
+    for (const int v : *order) {
+        rp.add_body(p.loops[static_cast<std::size_t>(v)].body, plan.retiming.of(v));
     }
-
-    // Bucket active fused points by t = s . p.
-    std::map<std::int64_t, std::vector<VecN>> buckets;
-    for_each_point_nd(lo, hi, [&](const VecN& point) {
-        bool active = false;
-        for (int v = 0; v < plan.retimed.num_nodes() && !active; ++v) {
-            active = dom.contains(point + plan.retiming.of(v));
-        }
-        if (active) buckets[plan.schedule.dot(point)].push_back(point);
-    });
-
-    for (const auto& [t, points] : buckets) {
-        for (const VecN& point : points) {
-            for (const int v : *order) {
-                const VecN q = point + plan.retiming.of(v);
-                if (dom.contains(q)) {
-                    stats.instances +=
-                        run_loop_instance(p.loops[static_cast<std::size_t>(v)], q, store);
-                }
-            }
-        }
-        ++stats.barriers;
-    }
-    return stats;
+    Evaluator ev(rp);
+    const SweepStats s = sweep_wavefront(ev, plan.schedule.values(), dom.ext);
+    return MdExecStats{s.barriers, s.instances};
 }
 
 std::optional<std::string> first_difference_md(const front::BasicProgram<VecN>& p,
@@ -124,21 +70,25 @@ std::optional<std::string> first_difference_md(const front::BasicProgram<VecN>& 
                                                const MdArrayStore& b) {
     const std::vector<std::int64_t> lo(static_cast<std::size_t>(p.dim), 0);
     const std::vector<std::int64_t>& hi = dom.ext;
-    std::optional<std::string> diff;
+    for (std::size_t k = 0; k < lo.size(); ++k) {
+        if (lo[k] > hi[k]) return std::nullopt;  // empty domain
+    }
+    std::vector<std::int64_t> cell;
     for (const std::string& name : p.written_arrays()) {
-        for_each_point_nd(lo, hi, [&](const VecN& cell) {
-            if (diff.has_value()) return;
-            const double va = a.load(name, cell);
-            const double vb = b.load(name, cell);
+        const std::vector<double>& ca = a.cells(name);
+        const std::vector<double>& cb = b.cells(name);
+        cell = lo;
+        do {
+            const double va = ca[a.index(cell)];
+            const double vb = cb[b.index(cell)];
             if (va != vb) {
                 std::ostringstream os;
-                os << name << cell.str() << ": " << va << " != " << vb;
-                diff = os.str();
+                os << name << VecN(cell).str() << ": " << va << " != " << vb;
+                return os.str();
             }
-        });
-        if (diff.has_value()) break;
+        } while (next_point(cell, lo, hi));
     }
-    return diff;
+    return std::nullopt;
 }
 
 MdVerification verify_md_fusion(const front::BasicProgram<VecN>& p, const MdDomain& dom) {

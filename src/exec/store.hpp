@@ -6,14 +6,14 @@
 //       equivalence checks meaningful.
 //
 // The store also meters loads/stores (atomically, so the threaded engine can
-// share it), optionally records an address trace for the cache simulator,
-// and optionally checks the dataflow ordering invariant "no cell is read
-// before the write that produces it" (used to validate wavefront schedules
-// of graph-only workloads like the paper's Figure 14).
+// share it; the interpreter adds its counts once per call), optionally
+// records an address trace for the cache simulator, and optionally checks
+// the dataflow ordering invariant "no cell is read before the write that
+// produces it" (used to validate wavefront schedules of graph-only
+// workloads like the paper's Figure 14).
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -33,17 +33,14 @@ struct TraceEntry {
     std::int16_t processor = -1;
 };
 
-class ArrayStore final : public ir::ValueSource {
+class ArrayStore {
   public:
     /// Creates all arrays of `p` over `dom` extended by `halo` cells on each
     /// side, pre-filled with boundary_value(). `halo` defaults to the
-    /// program's maximum subscript offset.
+    /// program's maximum subscript offset. Every array has the same shape.
     ArrayStore(const ir::Program& p, const Domain& dom,
                std::optional<std::int64_t> halo = std::nullopt);
 
-    [[nodiscard]] double load(const std::string& array, const Vec2& cell) const override {
-        return load(array, cell.x, cell.y);
-    }
     [[nodiscard]] double load(const std::string& array, std::int64_t i, std::int64_t j) const;
     void store(const std::string& array, std::int64_t i, std::int64_t j, double value);
 
@@ -71,30 +68,39 @@ class ArrayStore final : public ir::ValueSource {
     /// store() to such a cell is an ordering violation (the schedule let a
     /// consumer run before its producer).
     void enable_order_checking() { order_checking_ = true; }
+    [[nodiscard]] bool order_checking() const { return order_checking_; }
     [[nodiscard]] std::int64_t order_violations() const { return order_violations_; }
 
   private:
+    friend class ResolvedProgram;
+    friend class Evaluator;
+
     struct Slot {
         Array2D data;
-        std::int32_t id = 0;    // dense array id for tracing
         std::int64_t base = 0;  // address-space base for tracing
-        // Order checking state, keyed by linear index.
+        // Order checking state, keyed by linear index; allocated on first use.
         std::vector<bool> written;
         std::vector<bool> read_before_write;
     };
 
-    [[nodiscard]] const Slot& slot(const std::string& name) const;
-    [[nodiscard]] Slot& slot(const std::string& name);
+    /// Dense id of `name` (its position in array_names()); throws lf::Error
+    /// for an array the store does not have.
+    [[nodiscard]] std::int32_t id_of(const std::string& name) const;
+    /// Records one access at linear index `at` of array `id` in the trace
+    /// and the order-checking state, when those are enabled.
+    void observe(std::int32_t id, std::int64_t at, bool is_write) const;
 
     std::vector<std::string> names_;
-    std::map<std::string, Slot> slots_;
+    // Mutable: observe() runs for loads, which are const. Tracing and order
+    // checking are single-threaded modes.
+    mutable std::vector<Slot> slots_;  // by id
     mutable std::atomic<std::int64_t> loads_{0};
     std::atomic<std::int64_t> stores_{0};
     bool tracing_ = false;
     std::int16_t trace_processor_ = -1;
     mutable std::vector<TraceEntry> trace_;
     bool order_checking_ = false;
-    std::int64_t order_violations_ = 0;
+    mutable std::int64_t order_violations_ = 0;
 };
 
 }  // namespace lf::exec

@@ -5,8 +5,6 @@
 // deterministic splitmix-style boundary values as the 2-D store.
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,34 +32,51 @@ struct MdDomain {
     }
 };
 
-/// Calls fn(p) for every integer point with lo[k] <= p[k] <= hi[k], in
-/// lexicographic order (the odometer sweep shared by the N-D engines and
-/// code generator).
-void for_each_point_nd(const std::vector<std::int64_t>& lo, const std::vector<std::int64_t>& hi,
-                       const std::function<void(const VecN&)>& fn);
+/// Advances `p` to the next integer point of the box [lo, hi] in
+/// lexicographic order; false (with `p` back at `lo`) after the last one.
+inline bool next_point(std::vector<std::int64_t>& p, const std::vector<std::int64_t>& lo,
+                       const std::vector<std::int64_t>& hi) {
+    for (std::size_t k = p.size(); k-- > 0;) {
+        if (++p[k] <= hi[k]) return true;
+        p[k] = lo[k];
+    }
+    return false;
+}
 
 /// Dense n-D array store with a halo of `halo` cells on every side of every
-/// level, pre-filled with the same deterministic boundary values as the 2-D
-/// store (hash of name and flattened coordinates).
-class MdArrayStore final : public front::BasicValueSource<VecN> {
+/// level, pre-filled with deterministic boundary values from its own
+/// splitmix-style hash of name and coordinates (one multiplier pair per
+/// coordinate). That hash differs from the 2-D store's, so a depth-2 program
+/// starts from different values here than in ArrayStore, and its checksums
+/// differ between the two. Every array has the same shape, stored row-major,
+/// so a cell has one flat index (index()) in the cells() of every array.
+class MdArrayStore {
   public:
+    static constexpr const char* kOutOfBounds =
+        "MdArrayStore: cell out of bounds (halo too small?)";
+
     MdArrayStore(const front::BasicProgram<VecN>& p, const MdDomain& dom,
                  std::optional<std::int64_t> halo = std::nullopt);
 
-    [[nodiscard]] double load(const std::string& array, const VecN& cell) const override;
+    [[nodiscard]] double load(const std::string& array, const VecN& cell) const;
     void store(const std::string& array, const VecN& cell, double value);
 
     [[nodiscard]] static double boundary_value(const std::string& array, const VecN& cell);
 
-  private:
-    struct Slot {
-        std::vector<double> data;
-        std::vector<std::int64_t> lo, hi, stride;
-    };
-    [[nodiscard]] std::size_t index(const Slot& s, const VecN& cell) const;
-    [[nodiscard]] const Slot& slot(const std::string& name) const;
+    /// The cells of `array` in row-major order; throws lf::Error for an
+    /// array the store does not have.
+    [[nodiscard]] const std::vector<double>& cells(const std::string& array) const;
+    /// Flat index of `cell` in cells(); throws lf::Error out of bounds.
+    [[nodiscard]] std::size_t index(const std::vector<std::int64_t>& cell) const;
 
-    std::map<std::string, Slot> slots_;
+  private:
+    friend class ResolvedProgram;
+
+    [[nodiscard]] std::size_t id_of(const std::string& name) const;
+
+    std::vector<std::string> names_;
+    std::vector<std::vector<double>> slots_;  // cells by array id
+    std::vector<std::int64_t> lo_, hi_, stride_;
 };
 
 }  // namespace lf::exec

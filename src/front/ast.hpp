@@ -10,9 +10,10 @@
 //     loops over `j`, subscripts `array[i1+c1]...[j+cd]`.
 //
 // The 2-D instantiation is byte-compatible with the historical `ir/` AST
-// (printers, str() layouts, evaluation semantics), and the N-D one with the
-// historical `mdir/` AST; `ir/ast.hpp` and `mdir/ast.hpp` are now alias
-// shims over this header.
+// (printers, str() layouts), and the N-D one with the historical `mdir/`
+// AST; `ir/ast.hpp` and `mdir/ast.hpp` are now alias shims over this header.
+// The AST does not evaluate itself: exec/interp.hpp resolves it into the
+// interpreter's flat form.
 
 #include <algorithm>
 #include <cmath>
@@ -59,22 +60,6 @@ inline void print_number(std::ostream& os, double v) {
 }
 
 }  // namespace detail
-
-/// Abstract source of array values during interpretation; implemented by
-/// the execution engines' array stores. Keeps the IR independent of them.
-template <typename V>
-class BasicValueSource {
-  public:
-    virtual ~BasicValueSource() = default;
-    [[nodiscard]] virtual double load(const std::string& array, const V& cell) const = 0;
-
-    /// 2-D convenience: load at cell (i, j).
-    [[nodiscard]] double load(const std::string& array, std::int64_t i, std::int64_t j) const
-        requires kIsVec2<V>
-    {
-        return load(array, V{i, j});
-    }
-};
 
 /// A subscripted constant-distance array access: `array[i + offset.x][j +
 /// offset.y]` at depth 2, `array[i1 + c1]...[j + cd]` at depth d.
@@ -126,8 +111,6 @@ class BasicExpr {
   public:
     virtual ~BasicExpr() = default;
 
-    /// Evaluates at iteration `it`, reading array values from `src`.
-    [[nodiscard]] virtual double eval(const BasicValueSource<V>& src, const V& it) const = 0;
     /// Appends every array read in this subtree to `out`.
     virtual void collect_reads(std::vector<BasicArrayRef<V>>& out) const = 0;
     virtual void print(std::ostream& os) const = 0;
@@ -135,25 +118,12 @@ class BasicExpr {
     /// Returns a copy with every subscript shifted by `delta`; used to print
     /// retimed statements.
     [[nodiscard]] virtual BasicExprPtr<V> shifted(const V& delta) const = 0;
-
-    /// 2-D convenience: evaluate at iteration (i, j).
-    [[nodiscard]] double eval(const BasicValueSource<V>& src, std::int64_t i,
-                              std::int64_t j) const
-        requires kIsVec2<V>
-    {
-        return eval(src, V{i, j});
-    }
 };
 
 template <typename V>
 class BasicLiteral final : public BasicExpr<V> {
   public:
-    using BasicExpr<V>::eval;
-
     explicit BasicLiteral(double value) : value_(value) {}
-    [[nodiscard]] double eval(const BasicValueSource<V>&, const V&) const override {
-        return value_;
-    }
     void collect_reads(std::vector<BasicArrayRef<V>>&) const override {}
     void print(std::ostream& os) const override { detail::print_number(os, value_); }
     [[nodiscard]] BasicExprPtr<V> clone() const override {
@@ -169,12 +139,7 @@ class BasicLiteral final : public BasicExpr<V> {
 template <typename V>
 class BasicRead final : public BasicExpr<V> {
   public:
-    using BasicExpr<V>::eval;
-
     explicit BasicRead(BasicArrayRef<V> ref) : ref_(std::move(ref)) {}
-    [[nodiscard]] double eval(const BasicValueSource<V>& src, const V& it) const override {
-        return src.load(ref_.array, ref_.cell(it));
-    }
     void collect_reads(std::vector<BasicArrayRef<V>>& out) const override {
         out.push_back(ref_);
     }
@@ -196,12 +161,7 @@ class BasicRead final : public BasicExpr<V> {
 template <typename V>
 class BasicUnary final : public BasicExpr<V> {
   public:
-    using BasicExpr<V>::eval;
-
     explicit BasicUnary(BasicExprPtr<V> operand) : operand_(std::move(operand)) {}
-    [[nodiscard]] double eval(const BasicValueSource<V>& src, const V& it) const override {
-        return -operand_->eval(src, it);
-    }
     void collect_reads(std::vector<BasicArrayRef<V>>& out) const override {
         operand_->collect_reads(out);
     }
@@ -225,20 +185,8 @@ class BasicUnary final : public BasicExpr<V> {
 template <typename V>
 class BasicBinary final : public BasicExpr<V> {
   public:
-    using BasicExpr<V>::eval;
-
     BasicBinary(char op, BasicExprPtr<V> lhs, BasicExprPtr<V> rhs)
         : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
-    [[nodiscard]] double eval(const BasicValueSource<V>& src, const V& it) const override {
-        const double a = lhs_->eval(src, it);
-        const double b = rhs_->eval(src, it);
-        switch (op_) {
-            case '+': return a + b;
-            case '-': return a - b;
-            case '*': return a * b;
-            default: return a / b;
-        }
-    }
     void collect_reads(std::vector<BasicArrayRef<V>>& out) const override {
         lhs_->collect_reads(out);
         rhs_->collect_reads(out);
@@ -286,20 +234,6 @@ struct BasicStatement {
     }
     BasicStatement(BasicStatement&&) = default;
     BasicStatement& operator=(BasicStatement&&) = default;
-
-    /// Executes the instance at iteration `it`: evaluate and return the
-    /// stored value plus the target cell (the caller performs the store).
-    [[nodiscard]] double eval(const BasicValueSource<V>& src, const V& it) const {
-        return value->eval(src, it);
-    }
-
-    /// 2-D convenience: evaluate the instance at iteration (i, j).
-    [[nodiscard]] double eval(const BasicValueSource<V>& src, std::int64_t i,
-                              std::int64_t j) const
-        requires kIsVec2<V>
-    {
-        return value->eval(src, V{i, j});
-    }
 
     [[nodiscard]] std::vector<BasicArrayRef<V>> reads() const {
         std::vector<BasicArrayRef<V>> out;

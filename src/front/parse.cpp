@@ -29,7 +29,7 @@ class Parser {
             expect_keyword("dim");
             const Token& d = expect(TokenKind::Integer);
             check(d.integer >= 2 && d.integer <= 8,
-                  "parse error at " + d.loc.str() + ": dim must be in [2, 8]");
+                  [&] { return "parse error at " + d.loc.str() + ": dim must be in [2, 8]"; });
             p.dim = static_cast<int>(d.integer);
             dim_ = p.dim;
         }
@@ -59,8 +59,10 @@ class Parser {
 
     void expect_keyword(const std::string& kw) {
         const Token& t = expect(TokenKind::Identifier);
-        check(t.text == kw,
-              "parse error at " + t.loc.str() + ": expected '" + kw + "', found '" + t.text + "'");
+        check(t.text == kw, [&] {
+            return "parse error at " + t.loc.str() + ": expected '" + kw + "', found '" + t.text +
+                   "'";
+        });
     }
 
     bool accept(TokenKind kind) {
@@ -81,8 +83,10 @@ class Parser {
             loop.body.push_back(parse_statement());
         }
         expect(TokenKind::RBrace);
-        check(!loop.body.empty(),
-              "parse error: loop " + loop.label + " at " + loop.loc.str() + " has an empty body");
+        check(!loop.body.empty(), [&] {
+            return "parse error: loop " + loop.label + " at " + loop.loc.str() +
+                   " has an empty body";
+        });
         return loop;
     }
 
@@ -112,15 +116,17 @@ class Parser {
         const Token& v = expect(TokenKind::Identifier);
         if constexpr (kIsVec2<V>) {
             const char var = level == 0 ? 'i' : 'j';
-            check(v.text.size() == 1 && v.text[0] == var,
-                  "parse error at " + v.loc.str() + ": subscript must use '" +
-                      std::string(1, var) + "' (the paper's constant-distance model), found '" +
-                      v.text + "'");
+            check(v.text.size() == 1 && v.text[0] == var, [&] {
+                return "parse error at " + v.loc.str() + ": subscript must use '" +
+                       std::string(1, var) + "' (the paper's constant-distance model), found '" +
+                       v.text + "'";
+            });
         } else {
             const std::string want = detail::index_var(level, dim_);
-            check(v.text == want, "parse error at " + v.loc.str() + ": level-" +
-                                      std::to_string(level) + " subscript must use '" + want +
-                                      "', found '" + v.text + "'");
+            check(v.text == want, [&] {
+                return "parse error at " + v.loc.str() + ": level-" + std::to_string(level) +
+                       " subscript must use '" + want + "', found '" + v.text + "'";
+            });
         }
         if (accept(TokenKind::Plus)) return expect(TokenKind::Integer).integer;
         if (accept(TokenKind::Minus)) return -expect(TokenKind::Integer).integer;
@@ -188,12 +194,13 @@ BasicProgram<V> parse_basic_program_unchecked(std::string_view source) {
 template <typename V>
 void validate_basic_program(const BasicProgram<V>& p) {
     check(!p.loops.empty(),
-          "sema: program '" + p.name + "' at " + p.loc.str() + " has no loops");
+          [&] { return "sema: program '" + p.name + "' at " + p.loc.str() + " has no loops"; });
 
     std::set<std::string> labels;
     for (const BasicLoopNest<V>& loop : p.loops) {
-        check(labels.insert(loop.label).second,
-              "sema: duplicate loop label '" + loop.label + "' at " + loop.loc.str());
+        check(labels.insert(loop.label).second, [&] {
+            return "sema: duplicate loop label '" + loop.label + "' at " + loop.loc.str();
+        });
     }
 
     // DOALL check per loop: two accesses to the same array with at least one

@@ -52,7 +52,7 @@ std::optional<Retiming> cyclic_doall_all_hard(const Mldg& g) {
     auto result = try_cyclic_doall_all_hard(g);
     if (result.ok()) return std::move(result).value();
     if (result.status().code() == StatusCode::Infeasible) return std::nullopt;
-    check(false, result.status().message());
+    check(false, [&] { return result.status().message(); });
     return std::nullopt;  // unreachable
 }
 

@@ -50,7 +50,7 @@ Result<Retiming> try_acyclic_doall_fusion(const Mldg& g, ResourceGuard* guard,
 
 Retiming acyclic_doall_fusion(const Mldg& g) {
     auto result = try_acyclic_doall_fusion(g);
-    check(result.ok(), result.status().message());
+    check(result.ok(), [&] { return result.status().message(); });
     return std::move(result).value();
 }
 

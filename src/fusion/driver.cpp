@@ -44,14 +44,16 @@ std::optional<PlanPolicy> parse_plan_policy(const std::string& text) {
 FusionPlan plan_fusion(const Mldg& g, const PlanOptions& options) {
     {
         const LegalityReport rep = check_schedulable(g);
-        check(rep.legal, "plan_fusion: input MLDG is not schedulable: " +
-                             (rep.violations.empty() ? std::string("?") : rep.violations.front()));
+        check(rep.legal, [&] {
+            return "plan_fusion: input MLDG is not schedulable: " +
+                   (rep.violations.empty() ? std::string("?") : rep.violations.front());
+        });
     }
     TryPlanOptions topts;
     topts.plan = options;
     topts.allow_distribution_fallback = false;  // preserve the classic success set
     auto result = try_plan_fusion(g, topts);
-    check(result.ok(), "plan_fusion: " + result.status().str());
+    check(result.ok(), [&] { return "plan_fusion: " + result.status().str(); });
     FusionPlan plan = std::move(result).value();
     plan.stages.clear();  // classic API: no ladder trace
     return plan;

@@ -58,7 +58,7 @@ Result<HyperplaneResult> try_hyperplane_fusion(const Mldg& g, ResourceGuard* gua
 
 HyperplaneResult hyperplane_fusion(const Mldg& g) {
     auto result = try_hyperplane_fusion(g);
-    check(result.ok(), result.status().message());
+    check(result.ok(), [&] { return result.status().message(); });
     return std::move(result).value();
 }
 

@@ -47,7 +47,7 @@ Result<Retiming> try_llofra(const Mldg& g, ResourceGuard* guard, SolverStats* st
 
 Retiming llofra(const Mldg& g) {
     auto result = try_llofra(g);
-    check(result.ok(), result.status().message());
+    check(result.ok(), [&] { return result.status().message(); });
     return std::move(result).value();
 }
 

@@ -6,8 +6,8 @@
 //
 // Forwarding shim: these are the depth-2 instantiations of the unified
 // dimension-generic AST in front/ast.hpp (the N-D aliases live in
-// mdir/ast.hpp). Printers, str() layouts and evaluation semantics are
-// byte-compatible with the historical 2-D AST.
+// mdir/ast.hpp). Printers and str() layouts are byte-compatible with the
+// historical 2-D AST; programs are evaluated by exec/interp.hpp.
 
 #include "front/ast.hpp"
 #include "ir/token.hpp"
@@ -15,7 +15,6 @@
 
 namespace lf::ir {
 
-using ValueSource = front::BasicValueSource<Vec2>;
 using ArrayRef = front::BasicArrayRef<Vec2>;
 using Expr = front::BasicExpr<Vec2>;
 using ExprPtr = front::BasicExprPtr<Vec2>;

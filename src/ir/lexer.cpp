@@ -128,7 +128,7 @@ std::vector<Token> tokenize(std::string_view source) {
                 const auto [ptr, ec] =
                     std::from_chars(digits.data(), digits.data() + digits.size(), value);
                 check(ec == std::errc() && ptr == digits.data() + digits.size(),
-                      "lexer: bad integer '" + digits + "' at " + loc.str());
+                      [&] { return "lexer: bad integer '" + digits + "' at " + loc.str(); });
                 t.integer = value;
                 t.number = static_cast<double>(value);
             }

@@ -101,11 +101,14 @@ class BasicMldg {
     /// non-empty and of the graph's dimension. Returns the edge id.
     int add_edge(int from, int to, std::vector<V> vectors) {
         check(from >= 0 && from < num_nodes() && to >= 0 && to < num_nodes(),
-              std::string(kClassName) + "::add_edge: node id out of range");
-        check(!vectors.empty(), std::string(kClassName) + "::add_edge: empty dependence vector set");
+              [] { return std::string(kClassName) + "::add_edge: node id out of range"; });
+        check(!vectors.empty(),
+              [] { return std::string(kClassName) + "::add_edge: empty dependence vector set"; });
         if constexpr (!kIs2d) {
             for (const V& v : vectors) {
-                check(v.dim() == dim_, std::string(kClassName) + "::add_edge: vector dimension mismatch");
+                check(v.dim() == dim_, [] {
+                    return std::string(kClassName) + "::add_edge: vector dimension mismatch";
+                });
             }
         }
         if (auto existing = find_edge(from, to)) {
@@ -316,7 +319,7 @@ class BasicRetiming {
     /// pre-validated magnitudes, as its planners guarantee.)
     [[nodiscard]] BasicMldg<V> apply(const BasicMldg<V>& g) const {
         check(num_nodes() == g.num_nodes(),
-              std::string(kIs2d ? "Retiming" : "RetimingN") + "::apply: size mismatch");
+              kIs2d ? "Retiming::apply: size mismatch" : "RetimingN::apply: size mismatch");
         BasicMldg<V> out = make_like(g);
         for (int v = 0; v < g.num_nodes(); ++v) {
             out.add_node(g.node(v).name, g.node(v).body_cost);

@@ -1,6 +1,8 @@
 #include "ldg/serialization.hpp"
 
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
 
 #include "ir/lexer.hpp"
 #include "support/diagnostics.hpp"
@@ -60,32 +62,36 @@ class GraphParser {
     const Token& advance() { return tokens_[pos_++]; }
 
     const Token& expect(TokenKind kind) {
-        check(at(kind), "parse error at " + peek().loc.str() + ": expected " +
-                            ir::to_string(kind) + ", found " + ir::to_string(peek().kind));
+        check(at(kind), [&] {
+            return "parse error at " + peek().loc.str() + ": expected " + ir::to_string(kind) +
+                   ", found " + ir::to_string(peek().kind);
+        });
         return advance();
     }
 
     void expect_keyword(const std::string& kw) {
         const Token& t = expect(TokenKind::Identifier);
-        check(t.text == kw, "parse error at " + t.loc.str() + ": expected '" + kw + "'");
+        check(t.text == kw,
+              [&] { return "parse error at " + t.loc.str() + ": expected '" + kw + "'"; });
     }
 
     void parse_node(Mldg& g) {
         const Token& name = expect(TokenKind::Identifier);
-        check(!g.find_node(name.text).has_value(),
-              "parse error at " + name.loc.str() + ": duplicate node '" + name.text + "'");
+        check(!ids_.contains(name.text), [&] {
+            return "parse error at " + name.loc.str() + ": duplicate node '" + name.text + "'";
+        });
         std::int64_t cost = 1;
         if (at(TokenKind::Identifier) && peek().text == "cost") {
             advance();
             cost = parse_integer();
         }
         expect(TokenKind::Semicolon);
-        g.add_node(name.text, cost);
+        ids_.emplace(name.text, g.add_node(name.text, cost));
     }
 
     void parse_edge(Mldg& g) {
-        const int from = node_id(g, expect(TokenKind::Identifier));
-        const int to = node_id(g, expect(TokenKind::Identifier));
+        const int from = node_id(expect(TokenKind::Identifier));
+        const int to = node_id(expect(TokenKind::Identifier));
         expect(TokenKind::LBrace);
         std::vector<Vec2> vectors;
         while (!at(TokenKind::RBrace)) {
@@ -102,11 +108,12 @@ class GraphParser {
         g.add_edge(from, to, std::move(vectors));
     }
 
-    int node_id(const Mldg& g, const Token& name) {
-        const auto id = g.find_node(name.text);
-        check(id.has_value(),
-              "parse error at " + name.loc.str() + ": unknown node '" + name.text + "'");
-        return *id;
+    int node_id(const Token& name) {
+        const auto it = ids_.find(name.text);
+        check(it != ids_.end(), [&] {
+            return "parse error at " + name.loc.str() + ": unknown node '" + name.text + "'";
+        });
+        return it->second;
     }
 
     std::int64_t parse_integer() {
@@ -121,6 +128,8 @@ class GraphParser {
 
     std::vector<Token> tokens_;
     std::size_t pos_ = 0;
+    /// Node name -> id; the keys view the (immutable) token texts.
+    std::unordered_map<std::string_view, int> ids_;
 };
 
 }  // namespace

@@ -183,6 +183,7 @@ class LexVec<kDynamicExtent> {
     [[nodiscard]] int dim() const { return static_cast<int>(c_.size()); }
     [[nodiscard]] std::int64_t operator[](int k) const { return c_[static_cast<std::size_t>(k)]; }
     [[nodiscard]] std::int64_t& operator[](int k) { return c_[static_cast<std::size_t>(k)]; }
+    [[nodiscard]] const std::vector<std::int64_t>& values() const { return c_; }
 
     /// Lexicographic comparison (std::vector's operator<=> is lexicographic).
     friend auto operator<=>(const LexVec&, const LexVec&) = default;

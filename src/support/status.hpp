@@ -116,7 +116,7 @@ class Result {
 
   private:
     void require() const {
-        check(value_.has_value(), "Result: value() on error: " + status_.str());
+        check(value_.has_value(), [this] { return "Result: value() on error: " + status_.str(); });
     }
 
     Status status_;  // Ok iff value_ holds a value

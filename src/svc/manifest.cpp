@@ -18,7 +18,7 @@ namespace {
 void validate_id(const std::string& id) {
     check(!id.empty(), "svc manifest: job id must not be empty");
     check(id.find_first_of(" \t\n\r") == std::string::npos,
-          "svc manifest: job id '" + id + "' must not contain whitespace");
+          [&] { return "svc manifest: job id '" + id + "' must not contain whitespace"; });
 }
 
 }  // namespace

@@ -609,7 +609,8 @@ RunReport FusionService::run(const std::vector<JobSpec>& jobs) {
     {
         std::unordered_set<std::string> ids;
         for (const auto& job : jobs) {
-            check(ids.insert(job.id).second, "FusionService: duplicate job id '" + job.id + "'");
+            check(ids.insert(job.id).second,
+                  [&] { return "FusionService: duplicate job id '" + job.id + "'"; });
         }
     }
 

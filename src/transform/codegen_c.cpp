@@ -504,11 +504,12 @@ std::string expected_c_checksum(const ir::Program& p, const Domain& dom) {
     (void)exec::run_original(p, dom, store);
     // Accumulate in exactly the order the emitted C program does (cells
     // outer, arrays inner): floating-point addition is order-sensitive.
+    std::vector<const exec::Array2D*> written;
+    for (const std::string& name : p.written_arrays()) written.push_back(&store.array(name));
     double checksum = 0.0;
-    const auto written = p.written_arrays();
     for (std::int64_t i = 0; i <= dom.n; ++i) {
         for (std::int64_t j = 0; j <= dom.m; ++j) {
-            for (const std::string& name : written) checksum += store.array(name).at(i, j);
+            for (const exec::Array2D* a : written) checksum += a->at(i, j);
         }
     }
     return cemit::format_checksum(checksum);

@@ -550,24 +550,18 @@ std::string emit_md_c_kernel_library(const front::BasicProgram<VecN>& p,
 std::string expected_md_c_checksum(const front::BasicProgram<VecN>& p, const MdDomain& dom) {
     exec::MdArrayStore store(p, dom);
     (void)exec::run_original_md(p, dom, store);
-    double checksum = 0.0;
-    const auto written = p.written_arrays();
+    std::vector<const std::vector<double>*> written;
+    for (const std::string& name : p.written_arrays()) written.push_back(&store.cells(name));
     // Cells outer, arrays inner (matching the C accumulation order).
-    std::vector<std::int64_t> idx(static_cast<std::size_t>(p.dim), 0);
-    const std::function<void(int)> sweep = [&](int level) {
-        if (level == p.dim) {
-            std::vector<std::int64_t> coords = idx;
-            VecN cell(std::move(coords));
-            for (const std::string& name : written) checksum += store.load(name, cell);
-            return;
-        }
-        for (idx[static_cast<std::size_t>(level)] = 0;
-             idx[static_cast<std::size_t>(level)] <= dom.ext[static_cast<std::size_t>(level)];
-             ++idx[static_cast<std::size_t>(level)]) {
-            sweep(level + 1);
-        }
-    };
-    sweep(0);
+    double checksum = 0.0;
+    const std::vector<std::int64_t> lo(static_cast<std::size_t>(p.dim), 0);
+    if (std::all_of(dom.ext.begin(), dom.ext.end(), [](std::int64_t e) { return e >= 0; })) {
+        std::vector<std::int64_t> cell = lo;
+        do {
+            const std::size_t at = store.index(cell);
+            for (const std::vector<double>* cells : written) checksum += (*cells)[at];
+        } while (exec::next_point(cell, lo, dom.ext));
+    }
     return cemit::format_checksum(checksum);
 }
 

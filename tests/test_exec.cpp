@@ -7,6 +7,7 @@
 #include "analysis/dependence.hpp"
 #include "exec/engines.hpp"
 #include "exec/equivalence.hpp"
+#include "exec/interp.hpp"
 #include "ir/parser.hpp"
 #include "support/diagnostics.hpp"
 #include "transform/fused_program.hpp"
@@ -83,6 +84,24 @@ TEST(RunOriginal, BarrierCountIsLoopsTimesRows) {
     const ExecStats stats = run_original(p, dom, store);
     EXPECT_EQ(stats.barriers, 4 * dom.rows());
     EXPECT_EQ(stats.instances, 5 * dom.points());  // 5 statements across loops
+}
+
+TEST(Interp, UnknownArrayErrorOutlivesTheResolvedStatements) {
+    // The store has only `a`; the body reads `zz`. The statements it was
+    // resolved from are a temporary, gone before the run reports `zz`.
+    const ir::Program known = ir::parse_program("program t { loop A { a[i][j] = 1.0; } }");
+    const ir::Program other = ir::parse_program("program u { loop A { a[i][j] = zz[i][j]; } }");
+    ArrayStore store(known, Domain{2, 2});
+    ResolvedProgram rp(store);
+    rp.add_body(std::vector<ir::Statement>(other.loops[0].body), Vec2{0, 0});
+    Evaluator ev(rp);
+    const std::int64_t q[2] = {0, 0};
+    try {
+        (void)ev.run(0, q);
+        FAIL() << "reading an unknown array must throw";
+    } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), "ArrayStore: unknown array 'zz'");
+    }
 }
 
 struct WorkloadCase {
@@ -195,6 +214,19 @@ TEST(Threaded, RejectsNonDoallPlansAndTracing) {
     const auto fp = transform::fuse_program(p, plan);
     ArrayStore store(p, Domain{4, 4});
     EXPECT_THROW((void)run_fused_threaded(fp, Domain{4, 4}, store, 2), Error);
+
+    // Tracing and order checking keep single-threaded state: a DOALL plan
+    // is refused too, before any thread touches the store.
+    const ir::Program doall = ir::parse_program(workloads::sources::kFig8);
+    const auto fused = transform::fuse_program(doall, plan_fusion(analysis::build_mldg(doall)));
+    ASSERT_EQ(fused.level, ParallelismLevel::InnerDoall);
+    ArrayStore traced(doall, Domain{4, 4});
+    traced.enable_tracing();
+    EXPECT_THROW((void)run_fused_threaded(fused, Domain{4, 4}, traced, 2), Error);
+    ArrayStore checked(doall, Domain{4, 4});
+    checked.enable_order_checking();
+    EXPECT_THROW((void)run_fused_threaded(fused, Domain{4, 4}, checked, 2), Error);
+    EXPECT_EQ(checked.loads(), 0);
 }
 
 }  // namespace

@@ -14,9 +14,22 @@
 // The FaultPointsOnUnifiedPath tests additionally prove that the shared
 // solver fault points fire on *both* the 2-D and the N-D planning paths,
 // i.e. that N-D solves really route through the unified solvers.
+//
+// interp.golden pins the host-side interpreter -- the oracle every fused
+// schedule and every native kernel is checked against: the C checksums,
+// every engine's stats, written-array digests and load/store counts, the
+// full address trace of two schedules, order-violation counts, and the exact
+// partial state and error text of an out-of-bounds run. It was recorded
+// from the AST-walking interpreter before the resolve-once evaluator
+// replaced it.
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <functional>
+#include <iomanip>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +37,10 @@
 #include <gtest/gtest.h>
 
 #include "analysis/dependence.hpp"
+#include "exec/engines.hpp"
+#include "exec/engines_nd.hpp"
+#include "exec/equivalence.hpp"
+#include "front/parse.hpp"
 #include "fusion/driver.hpp"
 #include "graph/solver_workspace.hpp"
 #include "graph/spfa.hpp"
@@ -33,9 +50,13 @@
 #include "ldg/serialization.hpp"
 #include "support/faultpoint.hpp"
 #include "support/rng.hpp"
+#include "transform/codegen_c.hpp"
+#include "transform/codegen_nd.hpp"
+#include "transform/fused_program.hpp"
 #include "workloads/extra.hpp"
 #include "workloads/gallery.hpp"
 #include "workloads/generators.hpp"
+#include "workloads/sources.hpp"
 
 namespace lf {
 namespace {
@@ -292,6 +313,278 @@ TEST(GoldenDifferential, NdGalleryPlans) {
     out << digest_plan_nd("wavefront_4d", wavefront_4d());
     out << digest_plan_nd("feedback_1d", feedback_1d());
     check_golden("gallery_nd.golden", out.str());
+}
+
+// ---------------------------------------------------------------------------
+// Interpreter digest
+
+/// FNV-1a over raw bytes; doubles are hashed by bit pattern.
+struct Fnv1a {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    void bytes(const void* data, std::size_t n) {
+        const auto* c = static_cast<const unsigned char*>(data);
+        for (std::size_t k = 0; k < n; ++k) {
+            h ^= c[k];
+            h *= 0x100000001b3ULL;
+        }
+    }
+    void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+    void f64(double d) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, &d, sizeof v);
+        u64(v);
+    }
+    [[nodiscard]] std::string hex() const {
+        std::ostringstream os;
+        os << std::hex << std::setw(16) << std::setfill('0') << h;
+        return os.str();
+    }
+};
+
+/// Every cell (halo included) of every array `p` writes.
+std::string written_digest(const ir::Program& p, const exec::ArrayStore& store) {
+    Fnv1a f;
+    for (const std::string& name : p.written_arrays()) {
+        const exec::Array2D& a = store.array(name);
+        for (std::int64_t i = a.lo_i(); i < a.lo_i() + a.rows(); ++i) {
+            for (std::int64_t j = a.lo_j(); j < a.lo_j() + a.cols(); ++j) f.f64(a.at(i, j));
+        }
+    }
+    return f.hex();
+}
+
+std::string written_digest_md(const front::BasicProgram<VecN>& p, const exec::MdDomain& dom,
+                              std::int64_t halo, const exec::MdArrayStore& store) {
+    Fnv1a f;
+    const std::vector<std::int64_t> lo(static_cast<std::size_t>(p.dim), -halo);
+    std::vector<std::int64_t> hi = dom.ext;
+    for (std::int64_t& h : hi) h += halo;
+    for (const std::string& name : p.written_arrays()) {
+        std::vector<std::int64_t> cell = lo;
+        do {
+            f.f64(store.load(name, VecN(cell)));
+        } while (exec::next_point(cell, lo, hi));
+    }
+    return f.hex();
+}
+
+std::string trace_digest(const exec::ArrayStore& store) {
+    Fnv1a f;
+    for (const exec::TraceEntry& e : store.trace()) {
+        f.u64(static_cast<std::uint64_t>(e.array_id));
+        f.u64(static_cast<std::uint64_t>(e.address));
+        f.u64(e.is_write ? 1 : 0);
+        f.u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(e.processor)));
+    }
+    std::ostringstream os;
+    os << store.trace().size() << " entries " << f.hex();
+    return os.str();
+}
+
+std::string domain_str(const Domain& dom) {
+    return std::to_string(dom.n) + "x" + std::to_string(dom.m);
+}
+
+std::string md_domain_str(const exec::MdDomain& dom) {
+    std::string out;
+    for (const std::int64_t e : dom.ext) out += (out.empty() ? "" : "x") + std::to_string(e);
+    return out;
+}
+
+/// Runs one 2-D engine on a fresh store and records what it observably did:
+/// stats (or the error it threw), load/store counts, the written-array
+/// digest and the first difference from the reference store.
+void digest_engine(std::ostream& out, const std::string& engine, const ir::Program& p,
+                   const Domain& dom, const exec::ArrayStore& reference,
+                   const std::function<exec::ExecStats(exec::ArrayStore&)>& run,
+                   std::optional<std::int64_t> halo = std::nullopt) {
+    exec::ArrayStore store(p, dom, halo);
+    out << "  " << engine << ":";
+    try {
+        const exec::ExecStats st = run(store);
+        out << " barriers=" << st.barriers << " instances=" << st.instances
+            << " phases=" << st.phases;
+    } catch (const Error& e) {
+        out << " error=[" << e.what() << "]";
+    }
+    out << " loads=" << store.loads() << " stores=" << store.stores()
+        << " written=" << written_digest(p, store) << " diff=["
+        << exec::first_difference(p, dom, reference, store).value_or("none") << "]\n";
+}
+
+void digest_engines_2d(std::ostream& out, const std::string& id, const ir::Program& p,
+                       const Domain& dom) {
+    out << "== engines " << id << " " << domain_str(dom) << "\n";
+    const FusionPlan plan = plan_fusion(analysis::build_mldg(p));
+    const transform::FusedProgram fp = transform::fuse_program(p, plan);
+    exec::ArrayStore reference(p, dom);
+    (void)exec::run_original(p, dom, reference);
+    digest_engine(out, "original", p, dom, reference,
+                  [&](exec::ArrayStore& s) { return exec::run_original(p, dom, s); });
+    digest_engine(out, "original_blocked(3)", p, dom, reference,
+                  [&](exec::ArrayStore& s) { return exec::run_original_blocked(p, dom, s, 3); });
+    digest_engine(out, "fused_rowwise", p, dom, reference,
+                  [&](exec::ArrayStore& s) { return exec::run_fused_rowwise(fp, dom, s); });
+    digest_engine(out, "wavefront", p, dom, reference,
+                  [&](exec::ArrayStore& s) { return exec::run_wavefront(fp, dom, s); });
+    digest_engine(out, "fused_peeled", p, dom, reference,
+                  [&](exec::ArrayStore& s) { return exec::run_fused_peeled(fp, dom, s); });
+    digest_engine(out, "fused_blocked(4)", p, dom, reference,
+                  [&](exec::ArrayStore& s) { return exec::run_fused_blocked(fp, dom, s, 4); });
+    digest_engine(out, "fused_threaded(3)", p, dom, reference,
+                  [&](exec::ArrayStore& s) { return exec::run_fused_threaded(fp, dom, s, 3); });
+}
+
+void digest_engines_nd(std::ostream& out, const std::string& id,
+                       const front::BasicProgram<VecN>& p, const exec::MdDomain& dom,
+                       std::optional<std::int64_t> halo_opt = std::nullopt) {
+    const std::int64_t halo = halo_opt.value_or(p.max_offset());
+    out << "== nd-engines " << id << " " << md_domain_str(dom) << " halo=" << halo << "\n";
+    const NdFusionPlan plan = plan_fusion_nd(analysis::build_mldg_nd(p));
+    exec::MdArrayStore reference(p, dom, halo);
+    exec::MdArrayStore original(p, dom, halo);
+    exec::MdArrayStore fused(p, dom, halo);
+    const auto run = [&](const char* engine, exec::MdArrayStore& store,
+                         const std::function<exec::MdExecStats()>& fn) {
+        out << "  " << engine << ":";
+        try {
+            const exec::MdExecStats st = fn();
+            out << " barriers=" << st.barriers << " instances=" << st.instances;
+        } catch (const Error& e) {
+            out << " error=[" << e.what() << "]";
+        }
+        out << " written=" << written_digest_md(p, dom, halo, store) << "\n";
+    };
+    run("original_md", original, [&] { return exec::run_original_md(p, dom, original); });
+    run("wavefront_md", fused, [&] { return exec::run_wavefront_md(p, plan, dom, fused); });
+    out << "  diff(original, wavefront)=["
+        << exec::first_difference_md(p, dom, original, fused).value_or("none") << "]\n";
+    out << "  diff(initial, original)=["
+        << exec::first_difference_md(p, dom, reference, original).value_or("none") << "]\n";
+}
+
+TEST(GoldenDifferential, Interpreter) {
+    std::ostringstream out;
+    const std::pair<const char*, std::string_view> gallery[] = {
+        {"fig2", workloads::sources::kFig2},
+        {"fig8", workloads::sources::kFig8},
+        {"jacobi", workloads::sources::kJacobiPair},
+        {"iir", workloads::sources::kIirChain},
+    };
+
+    // The native kernels' host-side expected checksums.
+    for (const auto& [id, source] : gallery) {
+        const ir::Program p = ir::parse_program(source);
+        for (const Domain dom : {Domain{64, 64}, Domain{97, 41}}) {
+            out << "checksum " << id << " " << domain_str(dom) << " "
+                << transform::expected_c_checksum(p, dom) << "\n";
+        }
+    }
+    for (std::uint64_t seed = 0; seed < 30; ++seed) {
+        Rng rng(seed);
+        const ir::Program p = workloads::random_program(rng);
+        out << "checksum random" << seed << " 12x12 "
+            << transform::expected_c_checksum(p, Domain{12, 12}) << "\n";
+    }
+    const auto volume = front::parse_basic_program<VecN>(workloads::sources::kVolume3d);
+    const auto hyper = front::parse_basic_program<VecN>(workloads::sources::kHyper4d);
+    out << "checksum volume3d 24x24x24 "
+        << transform::expected_md_c_checksum(volume, exec::MdDomain{{24, 24, 24}}) << "\n";
+    out << "checksum hyper4d 6x6x6x6 "
+        << transform::expected_md_c_checksum(hyper, exec::MdDomain{{6, 6, 6, 6}}) << "\n";
+
+    // Every engine, on the gallery and on seeded random programs.
+    for (const auto& [id, source] : gallery) {
+        digest_engines_2d(out, id, ir::parse_program(source), Domain{17, 13});
+    }
+    for (std::uint64_t seed = 0; seed < 6; ++seed) {
+        Rng rng(seed);
+        digest_engines_2d(out, "random" + std::to_string(seed), workloads::random_program(rng),
+                          Domain{12, 12});
+    }
+    digest_engines_nd(out, "volume3d", volume, exec::MdDomain{{5, 6, 7}});
+    digest_engines_nd(out, "hyper4d", hyper, exec::MdDomain{{4, 3, 5, 4}});
+
+    // A mismatch report: fig2 with C and D swapped in the fused body order.
+    {
+        const ir::Program p = ir::parse_program(workloads::sources::kFig2);
+        transform::FusedProgram fp =
+            transform::fuse_program(p, plan_fusion(analysis::build_mldg(p)));
+        auto c_it = std::find_if(fp.bodies.begin(), fp.bodies.end(),
+                                 [](const auto& b) { return b.label == "C"; });
+        auto d_it = std::find_if(fp.bodies.begin(), fp.bodies.end(),
+                                 [](const auto& b) { return b.label == "D"; });
+        std::iter_swap(c_it, d_it);
+        const Domain dom{15, 15};
+        exec::ArrayStore reference(p, dom);
+        (void)exec::run_original(p, dom, reference);
+        out << "== swapped fig2 C/D\n";
+        digest_engine(out, "fused_rowwise", p, dom, reference,
+                      [&](exec::ArrayStore& s) { return exec::run_fused_rowwise(fp, dom, s); });
+    }
+
+    // Out-of-bounds runs: the halo is one cell short, so the reads of b at
+    // j+2 leave the array on the last column of the first row. The error
+    // text, the counts and the partial state pin where execution stops.
+    {
+        const ir::Program p = ir::parse_program(
+            "program short { loop A { a[i][j] = b[i][j-1] + b[i][j+2]; } "
+            "loop B { b[i][j] = a[i][j] * 0.5; } }");
+        const Domain dom{6, 5};
+        exec::ArrayStore reference(p, dom);
+        (void)exec::run_original(p, dom, reference);
+        const transform::FusedProgram fp =
+            transform::fuse_program(p, plan_fusion(analysis::build_mldg(p)));
+        out << "== out-of-bounds short " << domain_str(dom) << " halo=1\n";
+        digest_engine(
+            out, "original", p, dom, reference,
+            [&](exec::ArrayStore& s) { return exec::run_original(p, dom, s); }, 1);
+        digest_engine(
+            out, "fused_rowwise", p, dom, reference,
+            [&](exec::ArrayStore& s) { return exec::run_fused_rowwise(fp, dom, s); }, 1);
+        const auto pn = front::parse_basic_program<VecN>(
+            "program short dim 3 { loop A { a[i1][i2][j] = b[i1][i2][j-1] + b[i1][i2][j+2]; } "
+            "loop B { b[i1][i2][j] = a[i1][i2][j] * 0.5; } }");
+        digest_engines_nd(out, "short", pn, exec::MdDomain{{2, 3, 5}}, 1);
+    }
+
+    // Address traces: fig2 as written and block-partitioned over 4 processors.
+    {
+        const ir::Program p = ir::parse_program(workloads::sources::kFig2);
+        const transform::FusedProgram fp =
+            transform::fuse_program(p, plan_fusion(analysis::build_mldg(p)));
+        const Domain dom{9, 7};
+        exec::ArrayStore original(p, dom);
+        original.enable_tracing();
+        (void)exec::run_original(p, dom, original);
+        exec::ArrayStore blocked(p, dom);
+        blocked.enable_tracing();
+        (void)exec::run_fused_blocked(fp, dom, blocked, 4);
+        out << "trace fig2 original " << trace_digest(original) << "\n";
+        out << "trace fig2 fused_blocked(4) " << trace_digest(blocked) << "\n";
+    }
+
+    // Order checking: iir's wavefront is clean; fig2 under the non-strict
+    // schedule (0,1) runs consumers before producers.
+    {
+        const ir::Program iir = ir::parse_program(workloads::sources::kIirChain);
+        const transform::FusedProgram fp =
+            transform::fuse_program(iir, plan_fusion(analysis::build_mldg(iir)));
+        exec::ArrayStore store(iir, Domain{12, 12});
+        store.enable_order_checking();
+        (void)exec::run_wavefront(fp, Domain{12, 12}, store);
+        out << "order_violations iir wavefront " << store.order_violations() << "\n";
+
+        const ir::Program fig2 = ir::parse_program(workloads::sources::kFig2);
+        transform::FusedProgram bad =
+            transform::fuse_program(fig2, plan_fusion(analysis::build_mldg(fig2)));
+        bad.schedule = Vec2{0, 1};
+        exec::ArrayStore checked(fig2, Domain{15, 15});
+        checked.enable_order_checking();
+        (void)exec::run_wavefront(bad, Domain{15, 15}, checked);
+        out << "order_violations fig2 schedule(0,1) " << checked.order_violations() << "\n";
+    }
+    check_golden("interp.golden", out.str());
 }
 
 // ---------------------------------------------------------------------------

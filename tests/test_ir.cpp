@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "exec/engines.hpp"
 #include "ir/lexer.hpp"
 #include "ir/parser.hpp"
 #include "ir/sema.hpp"
@@ -114,23 +115,19 @@ TEST(Ast, EvalArithmetic) {
     // 2*(3+4) - (-5) = 19, no array reads involved.
     const Program p =
         parse_program("program p { loop A { a[i][j] = 2 * (3 + 4) - (-5); } }");
-    struct Zero final : ValueSource {
-        using ValueSource::load;
-        double load(const std::string&, const Vec2&) const override { return 0; }
-    } zero;
-    EXPECT_DOUBLE_EQ(p.loops[0].body[0].eval(zero, 0, 0), 19.0);
+    const Domain dom{0, 0};
+    exec::ArrayStore store(p, dom);
+    (void)exec::run_original(p, dom, store);
+    EXPECT_DOUBLE_EQ(store.load("a", 0, 0), 19.0);
+    EXPECT_EQ(store.loads(), 1);  // the check above; the statement reads nothing
 }
 
 TEST(Ast, EvalReadsUseShiftedCells) {
     const Program p = parse_program("program p { loop A { a[i][j] = b[i-2][j+1]; } }");
-    struct Probe final : ValueSource {
-        using ValueSource::load;
-        double load(const std::string& array, const Vec2& cell) const override {
-            EXPECT_EQ(array, "b");
-            return static_cast<double>(100 * cell.x + cell.y);
-        }
-    } probe;
-    EXPECT_DOUBLE_EQ(p.loops[0].body[0].eval(probe, 5, 7), 100 * 3 + 8);
+    const Domain dom{7, 9};
+    exec::ArrayStore store(p, dom);
+    (void)exec::run_original(p, dom, store);
+    EXPECT_DOUBLE_EQ(store.load("a", 5, 7), exec::ArrayStore::boundary_value("b", 3, 8));
 }
 
 TEST(Ast, ShiftedStatementMatchesPaperFigure3) {
